@@ -225,6 +225,23 @@ let test_mutation_smoke () =
     (Printf.sprintf "at least 200 mutants injected (got %d)" !mutants)
     true (!mutants >= 200)
 
+(* Digest of the outcomes over a fixed seed range, both engines,
+   recorded before the fox_check harnesses shared one scaffold; the
+   refactor must reproduce it. *)
+let test_mutation_pinned_outcomes () =
+  let lines = ref [] in
+  ignore
+    (Mutate.run_seeds
+       ~log:(fun o ->
+         lines :=
+           Printf.sprintf "%d/%s:%d:%s" o.Mutate.seed o.Mutate.engine
+             o.Mutate.mutants
+             (String.concat ";" o.Mutate.problems)
+           :: !lines)
+       ~seed:7100 ~iters:12 ());
+  Alcotest.(check string) "outcome digest" "14e19a90429c4541d863bb7cb18692d2"
+    (Digest.to_hex (Digest.string (String.concat "|" (List.rev !lines))))
+
 (* ------------------------------------------------------------------ *)
 (* Scenario level: the attack matrix and its teeth                    *)
 (* ------------------------------------------------------------------ *)
@@ -306,7 +323,11 @@ let () =
             test_hostile_flow_cannot_starve_victim;
         ] );
       ( "mutation",
-        [ Alcotest.test_case "smoke, both engines" `Quick test_mutation_smoke ]
+        [
+          Alcotest.test_case "smoke, both engines" `Quick test_mutation_smoke;
+          Alcotest.test_case "pinned outcomes" `Quick
+            test_mutation_pinned_outcomes;
+        ]
       );
       ( "scenarios",
         [

@@ -396,6 +396,25 @@ let test_soak_chaos_storm_two_domains () =
     r.Soak.invariant_faults;
   Alcotest.(check int) "no leaked buffers" 0 r.Soak.leaked_packets
 
+(* One guarded quick cell per family under Reno, fingerprinted before
+   the harnesses shared one scaffold; the refactor must replay them. *)
+let pinned_chaos_fingerprints =
+  [
+    ("link_flap", "805e849aab809bde099bd1d3273fb4ce");
+    ("mtu_blackhole", "f4e2ad313014c45b2c0c4a4190fe3f3b");
+    ("dup_storm", "0af12ac500c063710040fe9db73da0f9");
+    ("slowloris", "55ffe181891200f186a5bd8205e3afef");
+  ]
+
+let test_pinned_family_fingerprints () =
+  List.iter
+    (fun (family, expected) ->
+      let r = Chaos.run_cell ~quick:true ~cc:"reno" family in
+      Alcotest.(check string)
+        (Printf.sprintf "%s/reno fingerprint" family)
+        expected (Chaos.fingerprint r))
+    pinned_chaos_fingerprints
+
 let () =
   Alcotest.run "chaos"
     [
@@ -421,6 +440,8 @@ let () =
             test_slowloris_teeth_starve;
           Alcotest.test_case "cell fingerprint replays" `Quick
             test_cell_fingerprint_replays;
+          Alcotest.test_case "pinned family fingerprints" `Quick
+            test_pinned_family_fingerprints;
         ] );
       ( "deadlines",
         [

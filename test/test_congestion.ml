@@ -223,6 +223,27 @@ let test_scenario_matrix_quick () =
         (r.Scenarios.fairness > 0.0 && r.Scenarios.fairness <= 1.0))
     results
 
+(* Digest of every quick scenario cell's outcome (delivered bytes, end
+   time, retransmissions, injected bytes), recorded before the fox_check
+   harnesses shared one scaffold; the refactor must reproduce it. *)
+let pinned_scenario_digest = "7d14822b21c9b5df0dcfdbf99a814518"
+
+let test_scenario_matrix_pinned () =
+  let cells =
+    List.map
+      (fun (r : Scenarios.result) ->
+        Printf.sprintf "%s/%s:%s:%d:%d:%d" r.Scenarios.scenario r.Scenarios.cc
+          (String.concat ","
+             (List.map
+                (fun f -> string_of_int f.Scenarios.delivered)
+                r.Scenarios.flow_results))
+          r.Scenarios.end_time r.Scenarios.retransmissions
+          r.Scenarios.injected_bytes)
+      (Scenarios.run_matrix ~quick:true ())
+  in
+  Alcotest.(check string) "quick matrix digest" pinned_scenario_digest
+    (Digest.to_hex (Digest.string (String.concat "|" cells)))
+
 let () =
   Alcotest.run "congestion"
     [
@@ -251,5 +272,7 @@ let () =
             test_soak_matrix_smoke;
           Alcotest.test_case "scenarios per algorithm" `Slow
             test_scenario_matrix_quick;
+          Alcotest.test_case "pinned quick matrix digest" `Slow
+            test_scenario_matrix_pinned;
         ] );
     ]

@@ -222,6 +222,27 @@ let test_soak_shards1_identity () =
     [ r1.Soak.fingerprint ] r1.Soak.shard_fingerprints;
   Alcotest.(check int) "every connection delivered" 40 r1.Soak.completed
 
+(* Soak fingerprints recorded before the fox_check harnesses were folded
+   onto one shared scaffold: the refactor must reproduce them bit for
+   bit, on one domain and on two.  The one-shard config is the CI smoke
+   ([foxnet soak --conns 50 --flood 32 --bad-acks 8]). *)
+let pinned_soak shards =
+  {
+    Soak.default_config with
+    Soak.conns = 50;
+    flood_syns = 32;
+    flood_bad_acks = 8;
+    shards;
+  }
+
+let test_soak_pinned_fingerprints () =
+  let r1 = Soak.run (pinned_soak 1) in
+  Alcotest.(check string) "shards=1 fingerprint" "255234a4d251c001a6a61a8eab0ba3ac" r1.Soak.fingerprint;
+  let r2 = Soak.run (pinned_soak 2) in
+  Alcotest.(check string) "shards=2 fingerprint" "48e1c77bfd36edd9a8c40b62d15d8f0e" r2.Soak.fingerprint;
+  Alcotest.(check (list string)) "shards=2 per-shard fingerprints"
+    [ "313e8779e0e2aebfa74418bb360433e8"; "0e24f481485262bac84046ae9c122bea" ] r2.Soak.shard_fingerprints
+
 (* ------------------------------------------------------------------ *)
 (* Two-domain smoke, invariants installed                             *)
 (* ------------------------------------------------------------------ *)
@@ -277,6 +298,8 @@ let () =
             test_shards1_pinned_digests;
           Alcotest.test_case "soak shards=1 identity" `Quick
             test_soak_shards1_identity;
+          Alcotest.test_case "pinned soak fingerprints" `Quick
+            test_soak_pinned_fingerprints;
         ] );
       ( "smoke",
         [
