@@ -193,10 +193,15 @@ let payload_for cfg i r =
        (Rng.create (cfg.seed lxor (i * 7919) lxor (r * 104729)))
        cfg.payload)
 
+(* Nearest rank: the smallest sample with at least [q] of the
+   distribution at or below it, so p50 of 1..100 is 50 and p100 is the
+   maximum. *)
 let percentile sorted q =
   match Array.length sorted with
   | 0 -> 0
-  | n -> sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
+  | n ->
+    let rank = int_of_float (ceil (q *. float_of_int n)) in
+    sorted.(min (n - 1) (max 0 (rank - 1)))
 
 (* ------------------------------------------------------------------ *)
 (* The run                                                            *)

@@ -233,6 +233,16 @@ let test_http_load_concurrent () =
   Alcotest.(check (list string)) "no problems" [] problems;
   Alcotest.(check int) "peak concurrency reached" 100 r.Load.max_concurrent
 
+(* Load's latency percentiles use the nearest-rank definition. *)
+let test_load_percentile_nearest_rank () =
+  let one_to_100 = Array.init 100 (fun i -> i + 1) in
+  Alcotest.(check int) "p50 of 1..100" 50 (Load.percentile one_to_100 0.50);
+  Alcotest.(check int) "p99 of 1..100" 99 (Load.percentile one_to_100 0.99);
+  Alcotest.(check int) "p100 of 1..100" 100 (Load.percentile one_to_100 1.0);
+  Alcotest.(check int) "p50 of one sample" 7 (Load.percentile [| 7 |] 0.50);
+  Alcotest.(check int) "p99 of one sample" 7 (Load.percentile [| 7 |] 0.99);
+  Alcotest.(check int) "no samples" 0 (Load.percentile [||] 0.99)
+
 (* ------------------------------------------------------------------ *)
 (* DNS codec                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -510,6 +520,11 @@ let () =
             test_chargen_exact_over_adverse_hub;
           Alcotest.test_case "http 100 concurrent connections" `Slow
             test_http_load_concurrent;
+        ] );
+      ( "load",
+        [
+          Alcotest.test_case "latency percentiles are nearest-rank" `Quick
+            test_load_percentile_nearest_rank;
         ] );
       ( "dns",
         [

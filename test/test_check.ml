@@ -348,6 +348,53 @@ let test_invariants_timer_flag_replay () =
           [ Tcb.Set_timer (Tcb.Retransmit, 1000); Tcb.Clear_timer Tcb.Retransmit ])
     <> [])
 
+(* The recovery-exit memo must be domain-local: sharded soaks run the
+   hook on several domains at once, and two shards can hold connections
+   with equal (obs_id, iss) keys.  A TCB seen in recovery on one domain
+   must not make an unrelated TCB with the same key on another domain
+   look like it just left recovery without deflating. *)
+let test_recovery_memo_is_domain_local () =
+  let mss = 1000 in
+  let info_with_cc cc =
+    let info = clean_info () in
+    let tcb = info.Check_hook.tcb in
+    tcb.Tcb.obs_id <- "memo-domain-test";
+    tcb.Tcb.cc <- cc;
+    info
+  in
+  let in_recovery () =
+    let cc = Fox_tcp.Congestion.make (module Fox_tcp.Congestion.Newreno) in
+    let ctx =
+      {
+        Fox_tcp.Congestion.mss;
+        flight = 8 * mss;
+        cwnd = 8 * mss;
+        ssthresh = 65_535;
+        una = Seq.of_int 1001;
+        nxt = Seq.of_int 9001;
+        srtt_us = 2_000;
+        rto_us = 200_000;
+        now = 1_000_000;
+      }
+    in
+    for count = 1 to 3 do
+      ignore (Fox_tcp.Congestion.on_dup_ack cc ctx ~count)
+    done;
+    assert (Fox_tcp.Congestion.in_recovery cc);
+    cc
+  in
+  Domain.join
+    (Domain.spawn (fun () ->
+         ignore (Tcb_invariants.violations (info_with_cc (in_recovery ())))));
+  let info =
+    info_with_cc
+      (Fox_tcp.Congestion.make (module Fox_tcp.Congestion.Newreno))
+  in
+  let tcb = info.Check_hook.tcb in
+  tcb.Tcb.cwnd <- tcb.Tcb.ssthresh + (2 * tcb.Tcb.snd_mss);
+  Alcotest.(check (list string)) "no recovery exit seen across domains" []
+    (Tcb_invariants.violations info)
+
 let test_hook_runs_after_every_action_and_is_deterministic () =
   let s = Fuzz.generate ~seed:99 in
   let run () =
@@ -456,6 +503,8 @@ let () =
             test_invariants_catch_seeded_corruption;
           Alcotest.test_case "timer flag replay" `Quick
             test_invariants_timer_flag_replay;
+          Alcotest.test_case "recovery memo is domain-local" `Quick
+            test_recovery_memo_is_domain_local;
           Alcotest.test_case "hook coverage + determinism" `Quick
             test_hook_runs_after_every_action_and_is_deterministic;
           Alcotest.test_case "live-run corruption caught" `Quick
