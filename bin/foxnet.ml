@@ -22,12 +22,22 @@ let netem_of loss seed =
   if loss > 0.0 then Netem.adverse ~loss ~seed Netem.ethernet_10mbps
   else Netem.ethernet_10mbps
 
+(* The one check every --cc goes through. *)
 let validate_cc cc =
   if not (List.mem cc Fox_tcp.Congestion.names) then begin
     Printf.eprintf "unknown congestion control %s (have: %s)\n" cc
       (String.concat ", " Fox_tcp.Congestion.names);
     exit 2
   end
+
+let reno = Fox_tcp.Congestion.Reno.name
+
+(* [--cc] given or not: the named algorithm, or all of them. *)
+let ccs_of = function
+  | None -> Fox_tcp.Congestion.names
+  | Some cc ->
+    validate_cc cc;
+    [ cc ]
 
 (* ---------------- transfer ---------------- *)
 
@@ -109,7 +119,7 @@ let transfer_sharded bytes loss seed decstation offload pool shards =
 
 let transfer bytes loss seed decstation baseline offload pool cc shards =
   validate_cc cc;
-  if cc <> "reno" && baseline then begin
+  if cc <> reno && baseline then begin
     Printf.eprintf "--cc applies to the structured engine only\n";
     exit 2
   end;
@@ -118,13 +128,13 @@ let transfer bytes loss seed decstation baseline offload pool cc shards =
       Printf.eprintf "--shards applies to the structured engine only\n";
       exit 2
     end;
-    if cc <> "reno" then begin
+    if cc <> reno then begin
       Printf.eprintf "--shards transfer drives the standard Reno stack\n";
       exit 2
     end;
     transfer_sharded bytes loss seed decstation offload pool shards
   end
-  else if cc <> "reno" then transfer_cc cc bytes loss seed
+  else if cc <> reno then transfer_cc cc bytes loss seed
   else begin
   let engine = if baseline then Network.Baseline else Network.Fox in
   let cost =
@@ -298,15 +308,12 @@ let fuzz seed iters verbose cc matrix mutate =
       List.for_all
         (fun (cc, engine) -> run_one (cc ^ ": ") (Some engine))
         Fuzz.fox_engines
-    else
-      match Fuzz.fox_engine_of_cc cc with
-      | None ->
-        Printf.eprintf "unknown congestion control %s\n" cc;
-        exit 2
-      | Some engine ->
-        run_one
-          (if cc = "reno" then "" else cc ^ ": ")
-          (Some engine)
+    else begin
+      validate_cc cc;
+      run_one
+        (if cc = reno then "" else cc ^ ": ")
+        (Some (List.assoc cc Fuzz.fox_engines))
+    end
   in
   if not ok then exit 1
   end
@@ -362,7 +369,7 @@ let soak conns conn_bytes flood bad_acks seed loss heap verbose cc matrix
     if matrix then
       List.for_all
         (fun cc -> run_one { cfg with Soak.cc })
-        Soak.engine_names
+        Fox_tcp.Congestion.names
     else run_one cfg
   in
   if not ok then exit 1
@@ -371,14 +378,7 @@ let soak conns conn_bytes flood bad_acks seed loss heap verbose cc matrix
 
 let scenarios cc scenario quick markdown =
   let module Scenarios = Fox_check.Scenarios in
-  let ccs =
-    match cc with
-    | None -> Scenarios.cc_names
-    | Some c when List.mem c Scenarios.cc_names -> [ c ]
-    | Some c ->
-      Printf.eprintf "unknown congestion control %s\n" c;
-      exit 2
-  in
+  let ccs = ccs_of cc in
   let scns =
     match scenario with
     | None -> Scenarios.all
@@ -503,14 +503,7 @@ let trace bytes loss seed last pcap =
 
 let chaos cc family quick markdown verbose =
   let module Chaos = Fox_check.Chaos in
-  let ccs =
-    match cc with
-    | None -> Chaos.cc_names
-    | Some c when List.mem c Chaos.cc_names -> [ c ]
-    | Some c ->
-      Printf.eprintf "unknown congestion control %s\n" c;
-      exit 2
-  in
+  let ccs = ccs_of cc in
   let families =
     match family with
     | None -> Chaos.family_names
@@ -993,7 +986,7 @@ let pool =
 let cc_arg =
   Arg.(
     value
-    & opt string "reno"
+    & opt string reno
     & info [ "cc" ] ~doc:"Congestion control: reno|newreno|cubic|bbr.")
 
 let shards_arg =

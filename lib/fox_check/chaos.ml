@@ -40,14 +40,9 @@ module Bus = Fox_obs.Bus
 module Scheduler = Fox_sched.Scheduler
 module Link = Fox_dev.Link
 module Netem = Fox_dev.Netem
-module Device = Fox_dev.Device
-module Mac = Fox_eth.Mac
 module Ipv4_addr = Fox_ip.Ipv4_addr
-module Route = Fox_ip.Route
-
-module Eth = Fox_eth.Eth.Standard
-module Ip = Fox_ip.Ip.Make (Eth) (Fox_ip.Ip.Default_params)
-module Ip_aux = Fox_ip.Ip_aux.Make (Ip)
+module Ip = Harness.Ip
+module Ip_aux = Harness.Ip_aux
 
 (* ------------------------------------------------------------------ *)
 (* Plans                                                              *)
@@ -279,84 +274,20 @@ let fingerprint r =
 
 let port = 7777
 
-let mac_of addr =
-  Mac.of_string
-    (Printf.sprintf "02:00:00:00:03:%02x" (Ipv4_addr.to_int addr land 0xff))
-
-let make_host link index ~addr =
-  let dev = Device.create (Link.port link index) in
-  let eth = Eth.create dev ~mac:(mac_of addr) in
-  Ip.create eth
-    {
-      Ip.local_ip = addr;
-      route = Route.local ~network:(Ipv4_addr.of_string "10.3.0.0") ~prefix:24;
-      lower_address =
-        (fun next_hop ->
-          { Fox_eth.Eth.dest = mac_of next_hop;
-            proto = Fox_eth.Frame.ethertype_ipv4 });
-      lower_pattern = { Fox_eth.Eth.match_proto = Fox_eth.Frame.ethertype_ipv4 };
-    }
-
 let payload_for scn ~bytes =
   Bytes.to_string
     (Rng.bytes (Rng.create (scn.netem.Netem.seed lxor 0xc4a05)) bytes)
 
-(* Shared cell scaffolding: invariants installed, flight recorder armed,
-   pool/offload switches saved and restored, leak census across the run.
-   [body] receives the wire and runs the world; it returns everything the
-   result needs except the faults/flight/leak fields, which the wrapper
-   owns. *)
+(* One checked cell on the scaffold's bracket.  [body] receives the
+   wire and runs the world; it returns everything the result needs
+   except the faults/flight/leak fields, filled in here. *)
 let with_cell ~make_link body =
-  let faults = ref [] in
-  Tcb_invariants.install
-    ~on_violation:(fun info msgs ->
-      faults :=
-        !faults
-        @ List.map
-            (Printf.sprintf "t=%d after %s: %s" info.Fox_tcp.Check_hook.now
-               (Fox_tcp.Tcb.action_name info.Fox_tcp.Check_hook.action))
-            msgs)
-    ();
-  let saved_offload = !Packet.offload_enabled in
-  let saved_pool = !Packet.pool_enabled in
-  Packet.offload_enabled := true;
-  Packet.pool_enabled := true;
-  let bus_was_live = !Bus.live in
-  Bus.reset ();
-  Bus.enable ();
-  let flight = ref [] in
+  let c = Harness.checked (fun () -> body (make_link ())) in
   let r =
-    Fun.protect
-      ~finally:(fun () ->
-        Packet.offload_enabled := saved_offload;
-        Packet.pool_enabled := saved_pool;
-        Packet.pool_reset ();
-        flight := Bus.dump ();
-        Bus.reset ();
-        if not bus_was_live then Bus.disable ();
-        Tcb_invariants.uninstall ())
-      (fun () ->
-        let link = make_link () in
-        let live_before = Packet.live_packets () in
-        let r = body link in
-        {
-          r with
-          chaos = Link.chaos_stats link;
-          leaked_packets = Packet.live_packets () - live_before;
-        })
+    { c.Harness.value with invariant_faults = c.faults; leaked_packets = c.leaked }
   in
-  let r = { r with invariant_faults = !faults } in
   if r.complete && r.invariant_faults = [] && r.leaked_packets = 0 then r
-  else { r with flight = !flight }
-
-let no_chaos =
-  {
-    Link.chaos_dropped = 0;
-    chaos_held = 0;
-    chaos_replayed = 0;
-    chaos_duplicated = 0;
-    chaos_corrupted = 0;
-  }
+  else { r with flight = c.flight }
 
 (* ------------------------------------------------------------------ *)
 (* The cells                                                          *)
@@ -384,13 +315,9 @@ struct
     with_cell
       ~make_link:(fun () -> Link.point_to_point scn.netem)
       (fun link ->
-        let client_ip =
-          make_host link 0 ~addr:(Ipv4_addr.of_string "10.3.0.1")
+        let client_ip, server_ip, server_addr =
+          Harness.client_server link ~subnet:3
         in
-        let server_ip =
-          make_host link 1 ~addr:(Ipv4_addr.of_string "10.3.0.2")
-        in
-        let server_addr = Ipv4_addr.of_string "10.3.0.2" in
         let server_t = Tcp.create server_ip in
         let client_t = Tcp.create client_ip in
         let payload = payload_for scn ~bytes in
@@ -454,7 +381,7 @@ struct
           persist_aborts =
             cs.Fox_tcp.Tcp.persist_aborts + ss.Fox_tcp.Tcp.persist_aborts;
           responses_408 = 0;
-          chaos = no_chaos;
+          chaos = Link.chaos_stats link;
           invariant_faults = [];
           leaked_packets = 0;
           flight = [];
@@ -475,13 +402,9 @@ struct
     with_cell
       ~make_link:(fun () -> Link.hub ~ports:2 netem)
       (fun link ->
-        let client_ip =
-          make_host link 0 ~addr:(Ipv4_addr.of_string "10.3.0.1")
+        let client_ip, server_ip, server_addr =
+          Harness.client_server link ~subnet:3
         in
-        let server_ip =
-          make_host link 1 ~addr:(Ipv4_addr.of_string "10.3.0.2")
-        in
-        let server_addr = Ipv4_addr.of_string "10.3.0.2" in
         let server_t = Tcp.create server_ip in
         let client_t = Tcp.create client_ip in
         let addr = { Tcp.peer = server_addr; port; local_port = None } in
@@ -560,7 +483,7 @@ struct
           user_timeout_aborts = ss.Fox_tcp.Tcp.user_timeout_aborts;
           persist_aborts = ss.Fox_tcp.Tcp.persist_aborts;
           responses_408 = hstats.Fox_app.Http.responses_408;
-          chaos = no_chaos;
+          chaos = Link.chaos_stats link;
           invariant_faults = [];
           leaked_packets = 0;
           flight = [];
@@ -569,34 +492,29 @@ end
 
 module Make_engine (Cc : Fox_tcp.Congestion.S) = Make_engine_p (Cc) (Chaos_params)
 
-module Reno_engine = Make_engine (Fox_tcp.Congestion.Reno)
-module Newreno_engine = Make_engine (Fox_tcp.Congestion.Newreno)
-module Cubic_engine = Make_engine (Fox_tcp.Congestion.Cubic)
-module Bbr_engine = Make_engine (Fox_tcp.Congestion.Bbr_lite)
 module Unguarded_reno = Make_engine_p (Fox_tcp.Congestion.Reno) (Unguarded_params)
 
-let cc_names = [ "reno"; "newreno"; "cubic"; "bbr" ]
+(* One guarded engine per algorithm, built once. *)
+let engines =
+  Harness.per_cc (fun (module Cc) ->
+      let module E = Make_engine (Cc) in
+      (E.run_transfer, E.run_slowloris))
 
 let run_cell ?quick ?log ~cc family =
-  let transfer run_t run_s =
-    match family with
-    | "slowloris" -> run_s ?quick ?log ~deadlines:true ()
-    | name -> (
-      match find_transfer name with
-      | Some scn -> run_t ?quick ?log scn
-      | None -> invalid_arg ("Chaos.run_cell: unknown family " ^ name))
+  let run_transfer, run_slowloris =
+    Harness.lookup ~who:"Chaos.run_cell" engines cc
   in
-  match cc with
-  | "reno" -> transfer Reno_engine.run_transfer Reno_engine.run_slowloris
-  | "newreno" ->
-    transfer Newreno_engine.run_transfer Newreno_engine.run_slowloris
-  | "cubic" -> transfer Cubic_engine.run_transfer Cubic_engine.run_slowloris
-  | "bbr" -> transfer Bbr_engine.run_transfer Bbr_engine.run_slowloris
-  | other -> invalid_arg ("Chaos.run_cell: unknown congestion control " ^ other)
+  match family with
+  | "slowloris" -> run_slowloris ?quick ?log ~deadlines:true ()
+  | name -> (
+    match find_transfer name with
+    | Some scn -> run_transfer ?quick ?log scn
+    | None -> invalid_arg ("Chaos.run_cell: unknown family " ^ name))
 
 (** [run_matrix ()] runs every chaos family under every algorithm,
     family-major. *)
-let run_matrix ?quick ?log ?(families = family_names) ?(ccs = cc_names) () =
+let run_matrix ?quick ?log ?(families = family_names)
+    ?(ccs = Fox_tcp.Congestion.names) () =
   List.concat_map
     (fun family -> List.map (fun cc -> run_cell ?quick ?log ~cc family) ccs)
     families
@@ -617,7 +535,10 @@ let run_teeth_blackhole ?quick ?log () =
     until their owners give up, and legitimate clients exhaust their
     retries.  Must NOT serve every legitimate client. *)
 let run_teeth_slowloris ?quick ?log () =
-  Reno_engine.run_slowloris ?quick ?log ~deadlines:false ()
+  let _, run_slowloris =
+    Harness.lookup ~who:"Chaos" engines Fox_tcp.Congestion.Reno.name
+  in
+  run_slowloris ?quick ?log ~deadlines:false ()
 
 (* ------------------------------------------------------------------ *)
 (* The verdict                                                        *)

@@ -20,19 +20,14 @@ open Fox_basis
 module Scheduler = Fox_sched.Scheduler
 module Link = Fox_dev.Link
 module Netem = Fox_dev.Netem
-module Device = Fox_dev.Device
-module Mac = Fox_eth.Mac
 module Ipv4_addr = Fox_ip.Ipv4_addr
-module Route = Fox_ip.Route
 module Status = Fox_proto.Status
-module Bus = Fox_obs.Bus
 
 (* ------------------------------------------------------------------ *)
 (* The faulty stack: Tcp(Faulty(Ip(Faulty(Eth))))                     *)
 (* ------------------------------------------------------------------ *)
 
-module Eth = Fox_eth.Eth.Standard
-module Feth = Faulty.Make (Eth)
+module Feth = Faulty.Make (Harness.Eth)
 module Ip = Fox_ip.Ip.Make (Feth) (Fox_ip.Ip.Default_params)
 module Ip_aux = Fox_ip.Ip_aux.Make (Ip)
 module Fip = Faulty.Make (Ip)
@@ -163,26 +158,17 @@ type fuzz_host = { addr : Ipv4_addr.t; fip : Fip.t }
    the same medium the real transfer uses. *)
 let n_ports = 3
 
-let mac_of addr =
-  Mac.of_string
-    (Printf.sprintf "02:00:00:00:00:%02x" (Ipv4_addr.to_int addr land 0xff))
-
-(* No ARP in this stack: IP next hops map to MACs statically, so the
-   [Faulty] layer under IP sits directly on Ethernet. *)
+(* The shared host builder's MAC and route, with a [Faulty] layer
+   between Ethernet and IP. *)
 let make_host link index ~addr ~eth_cfg ~ip_cfg =
-  let dev = Device.create (Link.port link index) in
-  let eth = Eth.create dev ~mac:(mac_of addr) in
-  let feth = Feth.create eth eth_cfg in
+  let feth = Feth.create (Harness.eth_of link index ~addr) eth_cfg in
   let ip =
     Ip.create feth
       {
         Ip.local_ip = addr;
-        route = Route.local ~network:(Ipv4_addr.of_string "10.0.0.0") ~prefix:24;
-        lower_address =
-          (fun next_hop ->
-            { Fox_eth.Eth.dest = mac_of next_hop;
-              proto = Fox_eth.Frame.ethertype_ipv4 });
-        lower_pattern = { Fox_eth.Eth.match_proto = Fox_eth.Frame.ethertype_ipv4 };
+        route = Harness.route_of addr;
+        lower_address = Harness.lower_address;
+        lower_pattern = Harness.lower_pattern;
       }
   in
   { addr; fip = Fip.create ip ip_cfg }
@@ -201,32 +187,22 @@ let hosts_for s ~engine_salt =
   in
   let salt = (s.seed * 31) + engine_salt in
   let a =
-    make_host link 0
-      ~addr:(Ipv4_addr.of_string "10.0.0.1")
+    make_host link 0 ~addr:(Harness.addr ~subnet:0 1)
       ~eth_cfg:(cfg (salt lxor 0xe1) ~connect_fail:0 ~allow_fail:false)
       ~ip_cfg:(cfg (salt lxor 0x1a) ~connect_fail:s.connect_fail ~allow_fail:true)
   in
   let b =
-    make_host link 1
-      ~addr:(Ipv4_addr.of_string "10.0.0.2")
+    make_host link 1 ~addr:(Harness.addr ~subnet:0 2)
       ~eth_cfg:(cfg (salt lxor 0xe2) ~connect_fail:0 ~allow_fail:false)
       ~ip_cfg:(cfg (salt lxor 0x1b) ~connect_fail:0 ~allow_fail:true)
   in
   (* the attacker's own layers are fault-free: its frames face only the
      shared medium's adversity, so the flood's shape is schedule-driven *)
   let clean seed' =
-    {
-      Faulty.rng = Rng.create seed';
-      allocate_fail = 0.0;
-      send_fail = 0.0;
-      send_drop = 0.0;
-      connect_fail = 0;
-      finalize_abort = false;
-    }
+    { (cfg seed' ~connect_fail:0 ~allow_fail:false) with send_drop = 0.0 }
   in
   let atk =
-    make_host link 2
-      ~addr:(Ipv4_addr.of_string "10.0.0.3")
+    make_host link 2 ~addr:(Harness.addr ~subnet:0 3)
       ~eth_cfg:(clean (salt lxor 0xe3))
       ~ip_cfg:(clean (salt lxor 0x1c))
   in
@@ -238,34 +214,7 @@ let hosts_for s ~engine_salt =
 
 (* The two TCPs behind one face, like [Experiments.ENGINE] but over the
    faulty stack. *)
-module type ENGINE = sig
-  type t
-
-  type connection
-
-  val name : string
-
-  val create : Fip.t -> t
-
-  val listen :
-    t ->
-    port:int ->
-    on_data:(Packet.t -> unit) ->
-    on_status:(Status.t -> unit) ->
-    unit
-
-  val connect :
-    t -> peer:Ipv4_addr.t -> port:int -> on_status:(Status.t -> unit) ->
-    connection
-
-  val send_string : connection -> string -> unit
-
-  val close : connection -> unit
-
-  val abort : connection -> unit
-
-  val stats_line : t -> string
-end
+module type ENGINE = Harness.ENGINE with type lower = Fip.t
 
 (* The structured engine is built per congestion-control algorithm: the
    differential oracle (delivery, prefix-on-abort, connect agreement) is
@@ -273,93 +222,35 @@ end
    baseline and then re-run under NewReno/CUBIC/BBR with only the
    invariants and the oracle — the baseline always runs its own fixed
    congestion control. *)
-module Make_fox (Cc : Fox_tcp.Congestion.S) : ENGINE = struct
-  module Tcp = Fox_tcp.Tcp.Make (Fip) (Faux) (Cc) (Tcp_params)
+module Make_fox (Cc : Fox_tcp.Congestion.S) : ENGINE = Harness.Engine (struct
+  include Fox_tcp.Tcp.Make (Fip) (Faux) (Cc) (Tcp_params)
 
-  type t = Tcp.t
-
-  type connection = Tcp.connection
+  type lower = Fip.t
 
   let name = "fox+" ^ Cc.name
 
-  let create = Tcp.create
-
-  let listen t ~port ~on_data ~on_status =
-    ignore
-      (Tcp.start_passive t { Tcp.local_port = port } (fun _conn ->
-           (on_data, on_status)))
-
-  let connect t ~peer ~port ~on_status =
-    Tcp.connect t
-      { Tcp.peer; port; local_port = None }
-      (fun _conn -> (ignore, on_status))
-
-  let send_string conn str =
-    let p = Tcp.allocate_send conn (String.length str) in
-    Packet.blit_from_string str 0 p 0 (String.length str);
-    Tcp.send conn p
-
-  let close = Tcp.close
-
-  let abort = Tcp.abort
-
-  let stats_line t =
-    let s = Tcp.stats t in
-    Printf.sprintf "segs_in=%d segs_out=%d rsts=%d send_failures=%d conns=%d"
-      s.Fox_tcp.Tcp.segs_in s.Fox_tcp.Tcp.segs_out s.Fox_tcp.Tcp.rsts_sent
-      s.Fox_tcp.Tcp.wire_send_failures s.Fox_tcp.Tcp.active_conns
-end
-
-module Fox_engine = Make_fox (Fox_tcp.Congestion.Reno)
+  let stats_line t = Harness.fox_stats_line (stats t)
+end)
 
 (* One structured engine per algorithm, instantiated once — the fuzz and
    the per-algorithm schedule matrix share them. *)
 let fox_engines : (string * (module ENGINE)) list =
-  [
-    ("reno", (module Fox_engine));
-    ("newreno", (module Make_fox (Fox_tcp.Congestion.Newreno)));
-    ("cubic", (module Make_fox (Fox_tcp.Congestion.Cubic)));
-    ("bbr", (module Make_fox (Fox_tcp.Congestion.Bbr_lite)));
-  ]
+  Harness.per_cc (fun (module Cc) -> (module Make_fox (Cc) : ENGINE))
 
-let fox_engine_of_cc cc = List.assoc_opt cc fox_engines
+(* The default: Reno, the engine the pinned trace digests replay. *)
+module Fox_engine =
+  (val Harness.lookup ~who:"Fuzz" fox_engines Fox_tcp.Congestion.Reno.name
+      : ENGINE)
 
-module Baseline_engine : ENGINE with type t = Baseline.t = struct
-  type t = Baseline.t
+module Baseline_engine = Harness.Engine (struct
+  include Baseline
 
-  type connection = Baseline.connection
+  type lower = Fip.t
 
   let name = "baseline"
 
-  let create = Baseline.create
-
-  let listen t ~port ~on_data ~on_status =
-    ignore
-      (Baseline.start_passive t { Baseline.local_port = port } (fun _conn ->
-           (on_data, on_status)))
-
-  let connect t ~peer ~port ~on_status =
-    Baseline.connect t
-      { Baseline.peer; port; local_port = None }
-      (fun _conn -> (ignore, on_status))
-
-  let send_string conn str =
-    let p = Baseline.allocate_send conn (String.length str) in
-    Packet.blit_from_string str 0 p 0 (String.length str);
-    Baseline.send conn p
-
-  let close = Baseline.close
-
-  let abort = Baseline.abort
-
-  let stats_line t =
-    let s = Baseline.stats t in
-    Printf.sprintf "segs_in=%d segs_out=%d rsts=%d rtx=%d"
-      s.Fox_baseline.Tcp_monolithic.segs_in
-      s.Fox_baseline.Tcp_monolithic.segs_out
-      s.Fox_baseline.Tcp_monolithic.rsts_sent
-      s.Fox_baseline.Tcp_monolithic.retransmissions
-end
+  let stats_line t = Harness.baseline_stats_line (stats t)
+end)
 
 (* ------------------------------------------------------------------ *)
 (* One run                                                            *)
@@ -405,7 +296,6 @@ let run_flood s atk ~target ~event =
 let run_engine (type t) (module E : ENGINE with type t = t) s ~engine_salt
     ~with_invariants =
   let payload = payload_of s in
-  let a, b, atk = hosts_for s ~engine_salt in
   let delivered = Buffer.create (String.length payload) in
   let events = ref [] in
   let event fmt =
@@ -415,55 +305,20 @@ let run_engine (type t) (module E : ENGINE with type t = t) s ~engine_salt
       fmt
   in
   let connect_failed = ref false in
-  let faults = ref [] in
-  if with_invariants then
-    Tcb_invariants.install
-      ~on_violation:(fun info msgs ->
-        faults :=
-          !faults
-          @ List.map
-              (Printf.sprintf "t=%d after %s: %s"
-                 info.Fox_tcp.Check_hook.now
-                 (Fox_tcp.Tcb.action_name info.Fox_tcp.Check_hook.action))
-              msgs)
-      ();
-  let server_t = E.create b.fip in
-  let client_t = E.create a.fip in
-  (* The zero-copy machinery runs hot under fuzz: checksum offload and
-     buffer pooling are on for both engines, and every structured-engine
-     fast-path hit is shadowed by the general receive DAG and compared
-     field by field (the differential check of the header prediction). *)
-  let saved_offload = !Packet.offload_enabled in
-  let saved_pool = !Packet.pool_enabled in
-  let saved_diff = !Fox_tcp.Receive.differential in
-  let saved_mismatch = !Fox_tcp.Receive.on_mismatch in
-  Packet.offload_enabled := true;
-  Packet.pool_enabled := true;
-  if with_invariants then begin
-    Fox_tcp.Receive.differential := true;
-    Fox_tcp.Receive.on_mismatch :=
-      (fun msg -> faults := !faults @ [ "fast-path divergence: " ^ msg ])
-  end;
-  (* The flight recorder runs for every engine run, so a failing verdict
-     can dump each engine's ring; state is restored on every exit path. *)
-  let bus_was_live = !Bus.live in
-  Bus.reset ();
-  Bus.enable ();
-  let flight = ref [] in
-  let stats =
-    Fun.protect
-      ~finally:(fun () ->
-        Packet.offload_enabled := saved_offload;
-        Packet.pool_enabled := saved_pool;
-        Fox_tcp.Receive.differential := saved_diff;
-        Fox_tcp.Receive.on_mismatch := saved_mismatch;
-        Packet.pool_reset ();
-        flight := Bus.dump ();
-        Bus.reset ();
-        if not bus_was_live then Bus.disable ();
-        if with_invariants then Tcb_invariants.uninstall ())
+  (* The zero-copy machinery runs hot under fuzz: the bracket turns on
+     checksum offload and buffer pooling for both engines, and with the
+     invariants every structured-engine fast-path hit is shadowed by the
+     general receive DAG and compared field by field (the differential
+     check of the header prediction).  The flight recorder runs for every
+     engine run, so a failing verdict can dump each engine's ring. *)
+  let c =
+    Harness.checked ~invariants:with_invariants ~differential:with_invariants
       (fun () ->
-        Scheduler.run (fun () ->
+        let a, b, atk = hosts_for s ~engine_salt in
+        let server_t = E.create b.fip in
+        let client_t = E.create a.fip in
+        let stats =
+          Scheduler.run (fun () ->
             E.listen server_t ~port
               ~on_data:(fun packet ->
                 Buffer.add_string delivered (Packet.to_string packet);
@@ -472,7 +327,8 @@ let run_engine (type t) (module E : ENGINE with type t = t) s ~engine_salt
                 event "server status %s" (Status.to_string status));
             let conn =
               let attempt () =
-                E.connect client_t ~peer:b.addr ~port ~on_status:(fun status ->
+                E.connect client_t ~peer:b.addr ~port
+                  ~on_status:(fun status ->
                     event "client status %s" (Status.to_string status))
               in
               match attempt () with
@@ -515,19 +371,23 @@ let run_engine (type t) (module E : ENGINE with type t = t) s ~engine_salt
               | Abort ->
                 event "user abort";
                 E.abort conn);
-              event "client finale issued"))
+              event "client finale issued")
+        in
+        ( stats.Scheduler.end_time,
+          E.stats_line client_t,
+          E.stats_line server_t ))
   in
-  let end_time = stats.Scheduler.end_time in
+  let end_time, client_line, server_line = c.Harness.value in
   {
     delivered = Buffer.contents delivered;
     connect_failed = !connect_failed;
     end_time;
-    invariant_faults = !faults;
-    flight = !flight;
+    invariant_faults = c.faults;
+    flight = c.flight;
     events =
       List.rev
         (Printf.sprintf "t=%d quiescent; client %s; server %s" end_time
-           (E.stats_line client_t) (E.stats_line server_t)
+           client_line server_line
         :: !events);
   }
 
@@ -588,16 +448,10 @@ let check_schedule ?(engine = (module Fox_engine : ENGINE)) s =
   (* On failure the report carries both engines' flight-recorder rings
      (capped per engine; the oldest events are elided, not the newest). *)
   let flight_dump label lines =
-    let cap = 120 in
-    let n = List.length lines in
-    let shown =
-      if n <= cap then lines
-      else
-        Printf.sprintf "... %d earlier events elided ..." (n - cap)
-        :: List.filteri (fun i _ -> i >= n - cap) lines
-    in
-    Printf.sprintf "[%s-flight] %d events:" label n
-    :: List.map (fun l -> Printf.sprintf "[%s-flight] %s" label l) shown
+    Printf.sprintf "[%s-flight] %d events:" label (List.length lines)
+    :: List.map
+         (fun l -> Printf.sprintf "[%s-flight] %s" label l)
+         (Harness.last ~cap:120 lines)
   in
   let flights =
     if problems = [] then []

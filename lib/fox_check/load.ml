@@ -17,21 +17,16 @@
 
 open Fox_basis
 module Scheduler = Fox_sched.Scheduler
-module Timer = Fox_sched.Timer
 module Link = Fox_dev.Link
 module Netem = Fox_dev.Netem
-module Device = Fox_dev.Device
-module Mac = Fox_eth.Mac
 module Ipv4_addr = Fox_ip.Ipv4_addr
-module Route = Fox_ip.Route
 
 (* ------------------------------------------------------------------ *)
 (* The stack under load                                               *)
 (* ------------------------------------------------------------------ *)
 
-module Eth = Fox_eth.Eth.Standard
-module Ip = Fox_ip.Ip.Make (Eth) (Fox_ip.Ip.Default_params)
-module Ip_aux = Fox_ip.Ip_aux.Make (Ip)
+module Ip = Harness.Ip
+module Ip_aux = Harness.Ip_aux
 
 (* Serving posture: room for a thousand concurrent handshakes (SYN
    cache on, backlog above the fleet size), short TIME-WAIT and RTO
@@ -167,24 +162,6 @@ let result_to_string r = Format.asprintf "%a" pp_result r
 
 let http_port = 8080
 
-let mac_of addr =
-  Mac.of_string
-    (Printf.sprintf "02:00:00:00:02:%02x" (Ipv4_addr.to_int addr land 0xff))
-
-let make_host link index ~addr =
-  let dev = Device.create (Link.port link index) in
-  let eth = Eth.create dev ~mac:(mac_of addr) in
-  Ip.create eth
-    {
-      Ip.local_ip = addr;
-      route = Route.local ~network:(Ipv4_addr.of_string "10.2.0.0") ~prefix:24;
-      lower_address =
-        (fun next_hop ->
-          { Fox_eth.Eth.dest = mac_of next_hop;
-            proto = Fox_eth.Frame.ethertype_ipv4 });
-      lower_pattern = { Fox_eth.Eth.match_proto = Fox_eth.Frame.ethertype_ipv4 };
-    }
-
 (* The echo payload for exchange [r] of connection [i]: a pure function
    of the seed, so the client can verify the echo byte-for-byte. *)
 let payload_for cfg i r =
@@ -233,9 +210,9 @@ let run_world ?(log = fun _ -> ()) cfg ~shard ~indices =
     else { base with Netem.queue_frames = 4096; seed }
   in
   let link = Link.hub ~ports:2 netem in
-  let client_ip = make_host link 0 ~addr:(Ipv4_addr.of_string "10.2.0.1") in
-  let server_ip = make_host link 1 ~addr:(Ipv4_addr.of_string "10.2.0.2") in
-  let server_addr = Ipv4_addr.of_string "10.2.0.2" in
+  let client_ip, server_ip, server_addr =
+    Harness.client_server link ~subnet:2
+  in
   let server_t = Tcp.create server_ip in
   let client_t = Tcp.create client_ip in
   let site =

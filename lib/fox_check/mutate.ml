@@ -27,15 +27,9 @@ module Scheduler = Fox_sched.Scheduler
 module Link = Fox_dev.Link
 module Netem = Fox_dev.Netem
 module Device = Fox_dev.Device
-module Mac = Fox_eth.Mac
 module Ipv4_addr = Fox_ip.Ipv4_addr
-module Route = Fox_ip.Route
-module Status = Fox_proto.Status
-module Bus = Fox_obs.Bus
-
-module Eth = Fox_eth.Eth.Standard
-module Ip = Fox_ip.Ip.Make (Eth) (Fox_ip.Ip.Default_params)
-module Ip_aux = Fox_ip.Ip_aux.Make (Ip)
+module Ip = Harness.Ip
+module Ip_aux = Harness.Ip_aux
 
 module Tcp_params : Fox_tcp.Tcp.PARAMS = struct
   include Fox_tcp.Tcp.Default_params
@@ -245,98 +239,27 @@ let install_gremlin link ~index ~seed ~rate =
 
 let port = 7777
 
-let mac_of addr =
-  Mac.of_string
-    (Printf.sprintf "02:00:00:00:03:%02x" (Ipv4_addr.to_int addr land 0xff))
+module type ENGINE = Harness.ENGINE with type lower = Ip.t
 
-let make_host link index ~addr =
-  let dev = Device.create (Link.port link index) in
-  let eth = Eth.create dev ~mac:(mac_of addr) in
-  Ip.create eth
-    {
-      Ip.local_ip = addr;
-      route = Route.local ~network:(Ipv4_addr.of_string "10.3.0.0") ~prefix:24;
-      lower_address =
-        (fun next_hop ->
-          { Fox_eth.Eth.dest = mac_of next_hop;
-            proto = Fox_eth.Frame.ethertype_ipv4 });
-      lower_pattern = { Fox_eth.Eth.match_proto = Fox_eth.Frame.ethertype_ipv4 };
-    }
+module Fox_engine : ENGINE = Harness.Engine (struct
+  include Tcp
 
-module type ENGINE = sig
-  type t
-
-  type connection
-
-  val name : string
-
-  val create : Ip.t -> t
-
-  val listen :
-    t ->
-    port:int ->
-    on_data:(Packet.t -> unit) ->
-    on_status:(Status.t -> unit) ->
-    unit
-
-  val connect : t -> peer:Ipv4_addr.t -> port:int -> connection
-
-  val send_string : connection -> string -> unit
-
-  val close : connection -> unit
-end
-
-module Fox_engine : ENGINE = struct
-  type t = Tcp.t
-
-  type connection = Tcp.connection
+  type lower = Ip.t
 
   let name = "fox"
 
-  let create = Tcp.create
+  let stats_line t = Harness.fox_stats_line (stats t)
+end)
 
-  let listen t ~port ~on_data ~on_status =
-    ignore
-      (Tcp.start_passive t { Tcp.local_port = port } (fun _conn ->
-           (on_data, on_status)))
+module Baseline_engine : ENGINE = Harness.Engine (struct
+  include Baseline
 
-  let connect t ~peer ~port =
-    Tcp.connect t { Tcp.peer; port; local_port = None } (fun _conn ->
-        (ignore, ignore))
-
-  let send_string conn str =
-    let p = Tcp.allocate_send conn (String.length str) in
-    Packet.blit_from_string str 0 p 0 (String.length str);
-    Tcp.send conn p
-
-  let close = Tcp.close
-end
-
-module Baseline_engine : ENGINE = struct
-  type t = Baseline.t
-
-  type connection = Baseline.connection
+  type lower = Ip.t
 
   let name = "baseline"
 
-  let create = Baseline.create
-
-  let listen t ~port ~on_data ~on_status =
-    ignore
-      (Baseline.start_passive t { Baseline.local_port = port } (fun _conn ->
-           (on_data, on_status)))
-
-  let connect t ~peer ~port =
-    Baseline.connect t { Baseline.peer; port; local_port = None }
-      (fun _conn -> (ignore, ignore))
-
-  let send_string conn str =
-    let p = Baseline.allocate_send conn (String.length str) in
-    Packet.blit_from_string str 0 p 0 (String.length str);
-    Baseline.send conn p
-
-  let close = Baseline.close
-end
+  let stats_line t = Harness.baseline_stats_line (stats t)
+end)
 
 let engines : (string * (module ENGINE)) list =
   [ ("fox", (module Fox_engine)); ("baseline", (module Baseline_engine)) ]
@@ -364,88 +287,60 @@ let payload_of ~seed =
 let run_one (module E : ENGINE) ~seed =
   let payload = payload_of ~seed in
   let structured = E.name = "fox" in
-  let link =
-    Link.hub ~ports:3 { Netem.ethernet_10mbps with Netem.seed = seed lxor 0x3a7 }
-  in
-  let client_ip = make_host link 0 ~addr:(Ipv4_addr.of_string "10.3.0.1") in
-  let server_ip = make_host link 1 ~addr:(Ipv4_addr.of_string "10.3.0.2") in
-  let gremlin = install_gremlin link ~index:2 ~seed ~rate:0.35 in
   let delivered = Buffer.create (String.length payload) in
   let problems = ref [] in
   let problem fmt =
     Printf.ksprintf (fun msg -> problems := !problems @ [ msg ]) fmt
   in
-  let faults = ref [] in
-  if structured then
-    Tcb_invariants.install
-      ~on_violation:(fun info msgs ->
-        faults :=
-          !faults
-          @ List.map
-              (Printf.sprintf "t=%d after %s: %s" info.Fox_tcp.Check_hook.now
-                 (Fox_tcp.Tcb.action_name info.Fox_tcp.Check_hook.action))
-              msgs)
-      ();
-  let saved_offload = !Packet.offload_enabled in
-  let saved_pool = !Packet.pool_enabled in
-  let saved_diff = !Fox_tcp.Receive.differential in
-  let saved_mismatch = !Fox_tcp.Receive.on_mismatch in
-  Packet.offload_enabled := true;
-  Packet.pool_enabled := true;
-  if structured then begin
-    Fox_tcp.Receive.differential := true;
-    Fox_tcp.Receive.on_mismatch :=
-      (fun msg -> faults := !faults @ [ "fast-path divergence: " ^ msg ])
-  end;
-  let bus_was_live = !Bus.live in
-  Bus.reset ();
-  Bus.enable ();
-  let flight = ref [] in
-  Fun.protect
-    ~finally:(fun () ->
-      Packet.offload_enabled := saved_offload;
-      Packet.pool_enabled := saved_pool;
-      Fox_tcp.Receive.differential := saved_diff;
-      Fox_tcp.Receive.on_mismatch := saved_mismatch;
-      Packet.pool_reset ();
-      flight := Bus.dump ();
-      Bus.reset ();
-      if not bus_was_live then Bus.disable ();
-      if structured then Tcb_invariants.uninstall ())
-    (fun () ->
-      match
-        Scheduler.run (fun () ->
-            let server_t = E.create server_ip in
-            let client_t = E.create client_ip in
-            E.listen server_t ~port
-              ~on_data:(fun packet ->
-                Buffer.add_string delivered (Packet.to_string packet);
-                Packet.release packet)
-              ~on_status:ignore;
-            match E.connect client_t ~peer:(Ipv4_addr.of_string "10.3.0.2") ~port with
-            | exception Fox_proto.Common.Connection_failed msg ->
-              problem "connect failed under mutation: %s" msg
-            | conn ->
-              (* a few chunks with small gaps spread the gremlin's diet
-                 across handshake, steady-state and teardown segments *)
-              let n = String.length payload in
-              let chunk = 1 + (n / 4) in
-              let off = ref 0 in
-              while !off < n do
-                let len = min chunk (n - !off) in
-                (match E.send_string conn (String.sub payload !off len) with
-                | () -> ()
-                | exception Fox_proto.Common.Send_failed msg ->
-                  problem "send failed under mutation: %s" msg);
-                off := !off + len;
-                Scheduler.sleep 2_000
-              done;
-              E.close conn)
-      with
-      | _stats -> ()
-      | exception exn ->
-        problem "uncaught exception: %s" (Printexc.to_string exn));
-  List.iter (fun f -> problem "invariant violation: %s" f) !faults;
+  let c =
+    Harness.checked ~invariants:structured ~differential:structured
+      (fun () ->
+        let link =
+          Link.hub ~ports:3
+            { Netem.ethernet_10mbps with Netem.seed = seed lxor 0x3a7 }
+        in
+        let client_ip, server_ip, server_addr =
+          Harness.client_server link ~subnet:3
+        in
+        let gremlin = install_gremlin link ~index:2 ~seed ~rate:0.35 in
+        (match
+           Scheduler.run (fun () ->
+               let server_t = E.create server_ip in
+               let client_t = E.create client_ip in
+               E.listen server_t ~port
+                 ~on_data:(fun packet ->
+                   Buffer.add_string delivered (Packet.to_string packet);
+                   Packet.release packet)
+                 ~on_status:ignore;
+               match
+                 E.connect client_t ~peer:server_addr ~port ~on_status:ignore
+               with
+               | exception Fox_proto.Common.Connection_failed msg ->
+                 problem "connect failed under mutation: %s" msg
+               | conn ->
+                 (* a few chunks with small gaps spread the gremlin's diet
+                    across handshake, steady-state and teardown segments *)
+                 let n = String.length payload in
+                 let chunk = 1 + (n / 4) in
+                 let off = ref 0 in
+                 while !off < n do
+                   let len = min chunk (n - !off) in
+                   (match E.send_string conn (String.sub payload !off len) with
+                   | () -> ()
+                   | exception Fox_proto.Common.Send_failed msg ->
+                     problem "send failed under mutation: %s" msg);
+                   off := !off + len;
+                   Scheduler.sleep 2_000
+                 done;
+                 E.close conn)
+         with
+        | _stats -> ()
+        | exception exn ->
+          problem "uncaught exception: %s" (Printexc.to_string exn));
+        gremlin)
+  in
+  let gremlin = c.Harness.value in
+  List.iter (fun f -> problem "invariant violation: %s" f) c.faults;
   if not (String.equal (Buffer.contents delivered) payload) then
     problem "delivered %d of %d bytes (or wrong bytes) despite %d mutants"
       (Buffer.length delivered) (String.length payload) gremlin.injected;
@@ -458,7 +353,7 @@ let run_one (module E : ENGINE) ~seed =
     engine = E.name;
     mutants = gremlin.injected;
     problems;
-    flight = (if problems = [] then [] else !flight);
+    flight = (if problems = [] then [] else c.flight);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -481,18 +376,10 @@ let run_seeds ?(log = fun _ -> ()) ~seed ~iters () =
   List.rev !failures
 
 let report o =
-  let cap = 80 in
-  let n = List.length o.flight in
-  let shown =
-    if n <= cap then o.flight
-    else
-      Printf.sprintf "... %d earlier events elided ..." (n - cap)
-      :: List.filteri (fun i _ -> i >= n - cap) o.flight
-  in
   String.concat "\n"
     ([ Printf.sprintf "mutate seed %d (%s, %d mutants) FAILED:" o.seed
          o.engine o.mutants ]
     @ List.map (fun p -> "  " ^ p) o.problems
     @ [ Printf.sprintf "replay: foxnet fuzz --mutate --seed %d --iters 1"
           o.seed ]
-    @ List.map (fun l -> "  [flight] " ^ l) shown)
+    @ List.map (fun l -> "  [flight] " ^ l) (Harness.last ~cap:80 o.flight))

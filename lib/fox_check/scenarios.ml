@@ -19,14 +19,9 @@ module Bus = Fox_obs.Bus
 module Scheduler = Fox_sched.Scheduler
 module Link = Fox_dev.Link
 module Netem = Fox_dev.Netem
-module Device = Fox_dev.Device
-module Mac = Fox_eth.Mac
 module Ipv4_addr = Fox_ip.Ipv4_addr
-module Route = Fox_ip.Route
-
-module Eth = Fox_eth.Eth.Standard
-module Ip = Fox_ip.Ip.Make (Eth) (Fox_ip.Ip.Default_params)
-module Ip_aux = Fox_ip.Ip_aux.Make (Ip)
+module Ip = Harness.Ip
+module Ip_aux = Harness.Ip_aux
 
 (* Modest RTO floors keep loss-scenario virtual spans small without
    hiding the recovery machinery.  The advertised window is raised far
@@ -233,24 +228,6 @@ let jain = function
 
 let port = 7777
 
-let mac_of addr =
-  Mac.of_string
-    (Printf.sprintf "02:00:00:00:02:%02x" (Ipv4_addr.to_int addr land 0xff))
-
-let make_host link index ~addr =
-  let dev = Device.create (Link.port link index) in
-  let eth = Eth.create dev ~mac:(mac_of addr) in
-  Ip.create eth
-    {
-      Ip.local_ip = addr;
-      route = Route.local ~network:(Ipv4_addr.of_string "10.2.0.0") ~prefix:24;
-      lower_address =
-        (fun next_hop ->
-          { Fox_eth.Eth.dest = mac_of next_hop;
-            proto = Fox_eth.Frame.ethertype_ipv4 });
-      lower_pattern = { Fox_eth.Eth.match_proto = Fox_eth.Frame.ethertype_ipv4 };
-    }
-
 let payload_for scn ~bytes i =
   Bytes.to_string
     (Rng.bytes (Rng.create (scn.netem.Netem.seed lxor (i * 7919))) bytes)
@@ -276,8 +253,9 @@ module Make_engine_p (Cc : Fox_tcp.Congestion.S) (P : Fox_tcp.Tcp.PARAMS) =
 struct
   module Tcp = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Cc) (P)
 
-  let run ?(quick = false) scn =
-    let bytes = if quick then scn.quick_bytes else scn.bytes in
+  (* One cell's world: wire, hosts, the optional adversary, the flows;
+     run inside the checked-cell bracket by [run]. *)
+  let world ~bytes scn =
     (* flows share the same wire: the forward medium (and its finite
        queue) is the bottleneck they contend for.  An attack scenario
        gets a hub with a third port for the adversary's station. *)
@@ -286,9 +264,9 @@ struct
       | None -> Link.point_to_point scn.netem
       | Some _ -> Link.hub ~ports:3 scn.netem
     in
-    let client_ip = make_host link 0 ~addr:(Ipv4_addr.of_string "10.2.0.1") in
-    let server_ip = make_host link 1 ~addr:(Ipv4_addr.of_string "10.2.0.2") in
-    let server_addr = Ipv4_addr.of_string "10.2.0.2" in
+    let client_ip, server_ip, server_addr =
+      Harness.client_server link ~subnet:2
+    in
     (* the adversary spoofs the client: its IP instance claims the
        client's address, so every probe is stamped and checksummed as if
        the legitimate peer had sent it (see {!Attack}) *)
@@ -296,32 +274,12 @@ struct
       match scn.attack with
       | None -> None
       | Some cfg ->
-        let atk_ip = make_host link 2 ~addr:(Ipv4_addr.of_string "10.2.0.1") in
+        let atk_ip = Harness.make_host link 2 ~addr:(Harness.addr ~subnet:2 1) in
         Some
           ( cfg,
             Atk.create ~model:cfg.model atk_ip ~target:server_addr
               ~seed:scn.netem.Netem.seed )
     in
-    let faults = ref [] in
-    Tcb_invariants.install
-      ~on_violation:(fun info msgs ->
-        faults :=
-          !faults
-          @ List.map
-              (Printf.sprintf "t=%d after %s: %s" info.Fox_tcp.Check_hook.now
-                 (Fox_tcp.Tcb.action_name info.Fox_tcp.Check_hook.action))
-              msgs)
-      ();
-    let saved_offload = !Packet.offload_enabled in
-    let saved_pool = !Packet.pool_enabled in
-    Packet.offload_enabled := true;
-    Packet.pool_enabled := true;
-    (* as in the fuzz harness, the flight recorder runs for every cell so
-       a failing verdict carries the ring; state restored on every exit *)
-    let bus_was_live = !Bus.live in
-    Bus.reset ();
-    Bus.enable ();
-    let flight = ref [] in
     let server_t = Tcp.create server_ip in
     let client_t = Tcp.create client_ip in
     (* accept order = flow order for scoring; all flows carry the same
@@ -330,143 +288,136 @@ struct
     (* client-side connections survive closure as records, so their final
        TCB counters can be read after quiescence *)
     let client_conns : Tcp.connection list ref = ref [] in
-    let r =
-    Fun.protect
-      ~finally:(fun () ->
-        Packet.offload_enabled := saved_offload;
-        Packet.pool_enabled := saved_pool;
-        Packet.pool_reset ();
-        flight := Bus.dump ();
-        Bus.reset ();
-        if not bus_was_live then Bus.disable ();
-        Tcb_invariants.uninstall ())
-      (fun () ->
-        let stats =
-          Scheduler.run (fun () ->
-              ignore
-                (Tcp.start_passive server_t { Tcp.local_port = port }
-                   (fun conn ->
-                     let buf = Buffer.create bytes in
-                     let finished = ref 0 in
-                     streams := (buf, finished) :: !streams;
-                     ( (fun packet ->
-                         Buffer.add_string buf (Packet.to_string packet);
-                         Packet.release packet;
-                         if Buffer.length buf >= bytes && !finished = 0 then
-                           finished := Scheduler.now ()),
-                       function
-                       | Fox_proto.Status.Remote_close -> Tcp.close conn
-                       | _ -> () )));
-              (match attacker with
-              | None -> ()
-              | Some (cfg, atk) ->
-                Scheduler.fork (fun () ->
-                    (* the probes target the established connection's
-                       four-tuple: the stack's first ephemeral port,
-                       once the handshake has settled *)
-                    Scheduler.sleep 10_000;
-                    Atk.launch atk ~kind:cfg.kind ~src_port:49152
-                      ~dst_port:port ~pps:cfg.pps ~probes:cfg.probes));
-              for i = 0 to scn.flows - 1 do
-                Scheduler.fork (fun () ->
-                    (* a tiny stagger keeps simultaneous SYNs from
-                       colliding on the half-open path; the flows still
-                       overlap for >99% of the transfer *)
-                    Scheduler.sleep (i * 500);
-                    match
-                      Tcp.connect client_t
-                        { Tcp.peer = server_addr; port; local_port = None }
-                        (fun _conn -> (ignore, ignore))
-                    with
-                    | exception Fox_proto.Common.Connection_failed _ -> ()
-                    | conn ->
-                      client_conns := conn :: !client_conns;
-                      let payload = payload_for scn ~bytes i in
-                      let p = Tcp.allocate_send conn (String.length payload) in
-                      Packet.blit_from_string payload 0 p 0
-                        (String.length payload);
-                      (match Tcp.send conn p with
-                      | () -> ()
-                      | exception Fox_proto.Common.Send_failed _ -> ());
-                      Tcp.close conn)
-              done)
-        in
-        let end_time = stats.Scheduler.end_time in
-        (* Streams that never carried a byte are not transfer flows: under
-           a blind-SYN storm the listener legitimately accepts (and the
-           real peer promptly resets) embryonic connections for forged
-           SYNs once the tuple is free again — ordinary TCP, not a
-           defense failure, and not a flow to score.  A legitimate flow
-           that truly delivered nothing still fails the completeness
-           check below, since fewer than [scn.flows] streams remain. *)
-        let scored =
-          List.filter (fun (buf, _) -> Buffer.length buf > 0) !streams
-        in
-        let flow_results =
-          List.rev_map
-            (fun (buf, finished) ->
-              let delivered = Buffer.length buf in
-              let finished_at_us =
-                if !finished > 0 then !finished else end_time
-              in
-              let span = max 1 finished_at_us in
-              {
-                delivered;
-                finished_at_us;
-                goodput_mbps = float_of_int (delivered * 8) /. float_of_int span;
-              })
-            scored
-        in
-        let total_delivered =
-          List.fold_left (fun a f -> a + f.delivered) 0 flow_results
-        in
-        let last_finish =
-          List.fold_left (fun a f -> max a f.finished_at_us) 1 flow_results
-        in
-        let retransmissions =
-          List.fold_left
-            (fun a conn ->
-              a + (Tcp.conn_stats conn).Fox_tcp.Tcp.retransmissions)
-            0 !client_conns
-        in
-        let drops i =
-          let s = Link.stats link i in
-          s.Link.dropped + s.Link.queue_drops
-        in
-        let injected_bytes =
-          match scn.attack with
-          | None -> 0
-          | Some _ ->
-            let expected = payload_for scn ~bytes 0 in
-            List.fold_left
-              (fun a (buf, _) ->
-                a + injected_in (Buffer.contents buf) expected)
-              0 !streams
-        in
-        {
-          scenario = scn.name;
-          cc = Cc.name;
-          flow_results;
-          aggregate_goodput_mbps =
-            float_of_int (total_delivered * 8) /. float_of_int last_finish;
-          fairness = jain (List.map (fun f -> f.goodput_mbps) flow_results);
-          retransmissions;
-          wire_drops = drops 0 + drops 1;
-          end_time;
-          invariant_faults = !faults;
-          complete =
-            (List.length flow_results = scn.flows
-            && List.for_all (fun f -> f.delivered = bytes) flow_results);
-          attack_probes =
-            (match attacker with
-            | None -> 0
-            | Some (_, atk) -> Atk.sent atk);
-          injected_bytes;
-          flight = [];
-        })
+    let stats =
+      Scheduler.run (fun () ->
+          ignore
+            (Tcp.start_passive server_t { Tcp.local_port = port }
+               (fun conn ->
+                 let buf = Buffer.create bytes in
+                 let finished = ref 0 in
+                 streams := (buf, finished) :: !streams;
+                 ( (fun packet ->
+                     Buffer.add_string buf (Packet.to_string packet);
+                     Packet.release packet;
+                     if Buffer.length buf >= bytes && !finished = 0 then
+                       finished := Scheduler.now ()),
+                   function
+                   | Fox_proto.Status.Remote_close -> Tcp.close conn
+                   | _ -> () )));
+          (match attacker with
+          | None -> ()
+          | Some (cfg, atk) ->
+            Scheduler.fork (fun () ->
+                (* the probes target the established connection's
+                   four-tuple: the stack's first ephemeral port,
+                   once the handshake has settled *)
+                Scheduler.sleep 10_000;
+                Atk.launch atk ~kind:cfg.kind ~src_port:49152
+                  ~dst_port:port ~pps:cfg.pps ~probes:cfg.probes));
+          for i = 0 to scn.flows - 1 do
+            Scheduler.fork (fun () ->
+                (* a tiny stagger keeps simultaneous SYNs from
+                   colliding on the half-open path; the flows still
+                   overlap for >99% of the transfer *)
+                Scheduler.sleep (i * 500);
+                match
+                  Tcp.connect client_t
+                    { Tcp.peer = server_addr; port; local_port = None }
+                    (fun _conn -> (ignore, ignore))
+                with
+                | exception Fox_proto.Common.Connection_failed _ -> ()
+                | conn ->
+                  client_conns := conn :: !client_conns;
+                  let payload = payload_for scn ~bytes i in
+                  let p = Tcp.allocate_send conn (String.length payload) in
+                  Packet.blit_from_string payload 0 p 0
+                    (String.length payload);
+                  (match Tcp.send conn p with
+                  | () -> ()
+                  | exception Fox_proto.Common.Send_failed _ -> ());
+                  Tcp.close conn)
+          done)
     in
+    let end_time = stats.Scheduler.end_time in
+    (* Streams that never carried a byte are not transfer flows: under
+       a blind-SYN storm the listener legitimately accepts (and the
+       real peer promptly resets) embryonic connections for forged
+       SYNs once the tuple is free again — ordinary TCP, not a
+       defense failure, and not a flow to score.  A legitimate flow
+       that truly delivered nothing still fails the completeness
+       check below, since fewer than [scn.flows] streams remain. *)
+    let scored =
+      List.filter (fun (buf, _) -> Buffer.length buf > 0) !streams
+    in
+    let flow_results =
+      List.rev_map
+        (fun (buf, finished) ->
+          let delivered = Buffer.length buf in
+          let finished_at_us =
+            if !finished > 0 then !finished else end_time
+          in
+          let span = max 1 finished_at_us in
+          {
+            delivered;
+            finished_at_us;
+            goodput_mbps = float_of_int (delivered * 8) /. float_of_int span;
+          })
+        scored
+    in
+    let total_delivered =
+      List.fold_left (fun a f -> a + f.delivered) 0 flow_results
+    in
+    let last_finish =
+      List.fold_left (fun a f -> max a f.finished_at_us) 1 flow_results
+    in
+    let retransmissions =
+      List.fold_left
+        (fun a conn ->
+          a + (Tcp.conn_stats conn).Fox_tcp.Tcp.retransmissions)
+        0 !client_conns
+    in
+    let drops i =
+      let s = Link.stats link i in
+      s.Link.dropped + s.Link.queue_drops
+    in
+    let injected_bytes =
+      match scn.attack with
+      | None -> 0
+      | Some _ ->
+        let expected = payload_for scn ~bytes 0 in
+        List.fold_left
+          (fun a (buf, _) ->
+            a + injected_in (Buffer.contents buf) expected)
+          0 !streams
+    in
+    {
+      scenario = scn.name;
+      cc = Cc.name;
+      flow_results;
+      aggregate_goodput_mbps =
+        float_of_int (total_delivered * 8) /. float_of_int last_finish;
+      fairness = jain (List.map (fun f -> f.goodput_mbps) flow_results);
+      retransmissions;
+      wire_drops = drops 0 + drops 1;
+      end_time;
+      invariant_faults = [];
+      complete =
+        (List.length flow_results = scn.flows
+        && List.for_all (fun f -> f.delivered = bytes) flow_results);
+      attack_probes =
+        (match attacker with
+        | None -> 0
+        | Some (_, atk) -> Atk.sent atk);
+      injected_bytes;
+      flight = [];
+    }
+
+  let run ?(quick = false) scn =
+    let bytes = if quick then scn.quick_bytes else scn.bytes in
+    let c = Harness.checked (fun () -> world ~bytes scn) in
+    let r = { c.Harness.value with invariant_faults = c.faults } in
     if r.complete && r.invariant_faults = [] && r.injected_bytes = 0 then r
-    else { r with flight = !flight }
+    else { r with flight = c.flight }
 end
 
 module Make_engine (Cc : Fox_tcp.Congestion.S) = Make_engine_p (Cc) (Scn_params)
@@ -508,25 +459,19 @@ module Secure_unguarded_reno =
     RFC 5961 defenses disabled but RFC 6528 secure ISNs enabled. *)
 let run_cell_unguarded_secure ?quick scn = Secure_unguarded_reno.run ?quick scn
 
-module Reno_engine = Make_engine (Fox_tcp.Congestion.Reno)
-module Newreno_engine = Make_engine (Fox_tcp.Congestion.Newreno)
-module Cubic_engine = Make_engine (Fox_tcp.Congestion.Cubic)
-module Bbr_engine = Make_engine (Fox_tcp.Congestion.Bbr_lite)
-
-let cc_names = [ "reno"; "newreno"; "cubic"; "bbr" ]
+(* One engine per algorithm, built once. *)
+let engines =
+  Harness.per_cc (fun (module Cc) ->
+      let module E = Make_engine (Cc) in
+      E.run)
 
 let run_cell ?quick ~cc scn =
-  match cc with
-  | "reno" -> Reno_engine.run ?quick scn
-  | "newreno" -> Newreno_engine.run ?quick scn
-  | "cubic" -> Cubic_engine.run ?quick scn
-  | "bbr" -> Bbr_engine.run ?quick scn
-  | other -> invalid_arg ("Scenarios.run_cell: unknown congestion control " ^ other)
+  Harness.lookup ~who:"Scenarios.run_cell" engines cc ?quick scn
 
 (** [run_matrix ()] runs every scenario under every algorithm (or the
     given subsets) and returns the cells in scenario-major order. *)
 let run_matrix ?(log = fun _ -> ()) ?quick ?(scenarios = all)
-    ?(ccs = cc_names) () =
+    ?(ccs = Fox_tcp.Congestion.names) () =
   List.concat_map
     (fun scn ->
       List.map

@@ -27,21 +27,16 @@
 
 open Fox_basis
 module Scheduler = Fox_sched.Scheduler
-module Timer = Fox_sched.Timer
 module Link = Fox_dev.Link
 module Netem = Fox_dev.Netem
-module Device = Fox_dev.Device
-module Mac = Fox_eth.Mac
 module Ipv4_addr = Fox_ip.Ipv4_addr
-module Route = Fox_ip.Route
 
 (* ------------------------------------------------------------------ *)
 (* The stack under soak: plain layers, adversity comes from the wire  *)
 (* ------------------------------------------------------------------ *)
 
-module Eth = Fox_eth.Eth.Standard
-module Ip = Fox_ip.Ip.Make (Eth) (Fox_ip.Ip.Default_params)
-module Ip_aux = Fox_ip.Ip_aux.Make (Ip)
+module Ip = Harness.Ip
+module Ip_aux = Harness.Ip_aux
 
 (* Every overload knob is live, sized so a few hundred connections push
    each one past its limit: a small backlog the flood saturates in its
@@ -109,7 +104,7 @@ let default_config =
     flood_bad_acks = 16;
     loss = 0.01;
     wheel = true;
-    cc = "reno";
+    cc = Fox_tcp.Congestion.Reno.name;
     shards = 1;
     chaos = [];
   }
@@ -170,24 +165,6 @@ let report_to_string r = Format.asprintf "%a" pp_report r
 
 let port = 7777
 
-let mac_of addr =
-  Mac.of_string
-    (Printf.sprintf "02:00:00:00:01:%02x" (Ipv4_addr.to_int addr land 0xff))
-
-let make_host link index ~addr =
-  let dev = Device.create (Link.port link index) in
-  let eth = Eth.create dev ~mac:(mac_of addr) in
-  Ip.create eth
-    {
-      Ip.local_ip = addr;
-      route = Route.local ~network:(Ipv4_addr.of_string "10.1.0.0") ~prefix:24;
-      lower_address =
-        (fun next_hop ->
-          { Fox_eth.Eth.dest = mac_of next_hop;
-            proto = Fox_eth.Frame.ethertype_ipv4 });
-      lower_pattern = { Fox_eth.Eth.match_proto = Fox_eth.Frame.ethertype_ipv4 };
-    }
-
 (* The payload of connection [i] is a pure function of the seed, so the
    server can match delivered streams against expectations by digest. *)
 let payload_for cfg i =
@@ -221,10 +198,10 @@ module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
         Netem.ethernet_10mbps
     in
     let link = Link.hub ~ports:3 netem in
-    let client_ip = make_host link 0 ~addr:(Ipv4_addr.of_string "10.1.0.1") in
-    let server_ip = make_host link 1 ~addr:(Ipv4_addr.of_string "10.1.0.2") in
-    let atk_ip = make_host link 2 ~addr:(Ipv4_addr.of_string "10.1.0.3") in
-    let server_addr = Ipv4_addr.of_string "10.1.0.2" in
+    let client_ip, server_ip, server_addr =
+      Harness.client_server link ~subnet:1
+    in
+    let atk_ip = Harness.make_host link 2 ~addr:(Harness.addr ~subnet:1 3) in
     let live_before = Packet.live_packets () in
     let server_t = Tcp.create server_ip in
     let client_t = Tcp.create client_ip in
@@ -372,80 +349,54 @@ module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
           fingerprint;
         }
 
-  (* [run cfg] owns the process-wide pieces — the invariant hook and the
-     packet-pool/offload/wheel switches, written before any domain
-     spawns and restored after the join — then fans the fleet out over
-     [cfg.shards] worlds and merges.  One shard returns its world report
-     unchanged (the historical single-threaded run, fingerprint
-     included); more shards sum the counters and fingerprint the ordered
-     per-shard vector. *)
+  (* [run cfg] runs the fleet over [cfg.shards] worlds inside the
+     checked-cell bracket (no flight recorder: the bus is process-wide
+     and the worlds may run on several domains) and merges.  One shard
+     returns its world report unchanged (the historical single-threaded
+     run, fingerprint included); more shards sum the counters and
+     fingerprint the ordered per-shard vector. *)
   let run ?log (cfg : config) =
     if cfg.shards < 1 then invalid_arg "Soak.run: shards must be >= 1";
-    let faults = ref [] in
-    let faults_lock = Mutex.create () in
-    Tcb_invariants.install
-      ~on_violation:(fun info msgs ->
-        let tagged =
-          List.map
-            (Printf.sprintf "t=%d after %s: %s" info.Fox_tcp.Check_hook.now
-               (Fox_tcp.Tcb.action_name info.Fox_tcp.Check_hook.action))
-            msgs
-        in
-        Mutex.lock faults_lock;
-        faults := !faults @ tagged;
-        Mutex.unlock faults_lock)
-      ();
-    let saved_offload = !Packet.offload_enabled in
-    let saved_pool = !Packet.pool_enabled in
-    let saved_wheel = !Timer.use_wheel in
-    Packet.offload_enabled := true;
-    Packet.pool_enabled := true;
-    Timer.use_wheel := cfg.wheel;
-    Fun.protect
-      ~finally:(fun () ->
-        Packet.offload_enabled := saved_offload;
-        Packet.pool_enabled := saved_pool;
-        Timer.use_wheel := saved_wheel;
-        Tcb_invariants.uninstall ())
-      (fun () ->
-        let worlds =
+    let cell =
+      Harness.checked ~flight:false ~wheel:cfg.wheel (fun () ->
           Fox_shard.Shard.run ~shards:cfg.shards (fun shard ->
               run_world ?log cfg ~shard
                 ~indices:
                   (Fox_shard.Shard.split ~total:cfg.conns ~shards:cfg.shards
-                     ~shard))
-        in
-        let invariant_faults = !faults in
-        match worlds with
-        | [| w |] -> { w with invariant_faults }
-        | _ ->
-          let sum f = Array.fold_left (fun acc w -> acc + f w) 0 worlds in
-          let shard_fingerprints =
-            Array.to_list (Array.map (fun w -> w.fingerprint) worlds)
-          in
-          {
-            conns = cfg.conns;
-            shards = cfg.shards;
-            completed = sum (fun w -> w.completed);
-            connect_failures = sum (fun w -> w.connect_failures);
-            delivery_mismatches = sum (fun w -> w.delivery_mismatches);
-            invariant_faults;
-            leaked_packets = sum (fun w -> w.leaked_packets);
-            end_time =
-              Array.fold_left (fun acc w -> max acc w.end_time) 0 worlds;
-            flood_sent = sum (fun w -> w.flood_sent);
-            server_accepts = sum (fun w -> w.server_accepts);
-            backlog_refused = sum (fun w -> w.backlog_refused);
-            syn_dropped = sum (fun w -> w.syn_dropped);
-            time_wait_recycled = sum (fun w -> w.time_wait_recycled);
-            to_do_shed = sum (fun w -> w.to_do_shed);
-            rsts_sent = sum (fun w -> w.rsts_sent);
-            wire_queue_drops = sum (fun w -> w.wire_queue_drops);
-            shard_fingerprints;
-            fingerprint =
-              Digest.to_hex
-                (Digest.string (String.concat "|" shard_fingerprints));
-          })
+                     ~shard)))
+    in
+    let worlds = cell.Harness.value in
+    let invariant_faults = cell.faults in
+    match worlds with
+    | [| w |] -> { w with invariant_faults }
+    | _ ->
+      let sum f = Array.fold_left (fun acc w -> acc + f w) 0 worlds in
+      let shard_fingerprints =
+        Array.to_list (Array.map (fun w -> w.fingerprint) worlds)
+      in
+      {
+        conns = cfg.conns;
+        shards = cfg.shards;
+        completed = sum (fun w -> w.completed);
+        connect_failures = sum (fun w -> w.connect_failures);
+        delivery_mismatches = sum (fun w -> w.delivery_mismatches);
+        invariant_faults;
+        leaked_packets = sum (fun w -> w.leaked_packets);
+        end_time =
+          Array.fold_left (fun acc w -> max acc w.end_time) 0 worlds;
+        flood_sent = sum (fun w -> w.flood_sent);
+        server_accepts = sum (fun w -> w.server_accepts);
+        backlog_refused = sum (fun w -> w.backlog_refused);
+        syn_dropped = sum (fun w -> w.syn_dropped);
+        time_wait_recycled = sum (fun w -> w.time_wait_recycled);
+        to_do_shed = sum (fun w -> w.to_do_shed);
+        rsts_sent = sum (fun w -> w.rsts_sent);
+        wire_queue_drops = sum (fun w -> w.wire_queue_drops);
+        shard_fingerprints;
+        fingerprint =
+          Digest.to_hex
+            (Digest.string (String.concat "|" shard_fingerprints));
+      }
 
   (* ------------------------------------------------------------------ *)
   (* The verdict                                                        *)
@@ -490,36 +441,24 @@ end
 (* Per-algorithm dispatch                                             *)
 (* ------------------------------------------------------------------ *)
 
-module Reno_engine = Make_engine (Fox_tcp.Congestion.Reno)
-module Newreno_engine = Make_engine (Fox_tcp.Congestion.Newreno)
-module Cubic_engine = Make_engine (Fox_tcp.Congestion.Cubic)
-module Bbr_engine = Make_engine (Fox_tcp.Congestion.Bbr_lite)
-
-let engine_names = [ "reno"; "newreno"; "cubic"; "bbr" ]
+(* One engine per algorithm, built once. *)
+let engines =
+  Harness.per_cc (fun (module Cc) ->
+      let module E = Make_engine (Cc) in
+      (E.run, E.check))
 
 (** [run cfg] / [check cfg] dispatch on [cfg.cc]; unknown names raise
     [Invalid_argument]. *)
-let run ?log cfg =
-  match cfg.cc with
-  | "reno" -> Reno_engine.run ?log cfg
-  | "newreno" -> Newreno_engine.run ?log cfg
-  | "cubic" -> Cubic_engine.run ?log cfg
-  | "bbr" -> Bbr_engine.run ?log cfg
-  | other -> invalid_arg ("Soak.run: unknown congestion control " ^ other)
+let run ?log cfg = fst (Harness.lookup ~who:"Soak.run" engines cfg.cc) ?log cfg
 
 let check ?log cfg =
-  match cfg.cc with
-  | "reno" -> Reno_engine.check ?log cfg
-  | "newreno" -> Newreno_engine.check ?log cfg
-  | "cubic" -> Cubic_engine.check ?log cfg
-  | "bbr" -> Bbr_engine.check ?log cfg
-  | other -> invalid_arg ("Soak.check: unknown congestion control " ^ other)
+  snd (Harness.lookup ~who:"Soak.check" engines cfg.cc) ?log cfg
 
 (** [check_matrix cfg] runs the soak contract once per congestion-control
     algorithm, returning [(cc, report, problems)] rows. *)
 let check_matrix ?log cfg =
   List.map
-    (fun cc ->
+    (fun (cc, (_, check)) ->
       let r, problems = check ?log { cfg with cc } in
       (cc, r, problems))
-    engine_names
+    engines
