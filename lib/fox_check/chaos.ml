@@ -41,8 +41,6 @@ module Scheduler = Fox_sched.Scheduler
 module Link = Fox_dev.Link
 module Netem = Fox_dev.Netem
 module Ipv4_addr = Fox_ip.Ipv4_addr
-module Ip = Harness.Ip
-module Ip_aux = Harness.Ip_aux
 
 (* ------------------------------------------------------------------ *)
 (* Plans                                                              *)
@@ -278,13 +276,13 @@ let payload_for scn ~bytes =
   Bytes.to_string
     (Rng.bytes (Rng.create (scn.netem.Netem.seed lxor 0xc4a05)) bytes)
 
-(* One checked cell on the scaffold's bracket.  [body] receives the
-   wire and runs the world; it returns everything the result needs
-   except the faults/flight/leak fields, filled in here. *)
-let with_cell ~make_link body =
-  let c = Harness.checked (fun () -> body (make_link ())) in
+(* One checked cell on the scaffold's bracket.  [body] builds the wire
+   and runs the world; it returns everything the result needs except the
+   faults/flight/leak fields, filled in here. *)
+let with_cell body =
+  let c = Harness.checked body in
   let r =
-    { c.Harness.value with invariant_faults = c.faults; leaked_packets = c.leaked }
+    { c.value with invariant_faults = c.faults; leaked_packets = c.leaked }
   in
   if r.complete && r.invariant_faults = [] && r.leaked_packets = 0 then r
   else { r with flight = c.flight }
@@ -295,7 +293,7 @@ let with_cell ~make_link body =
 
 module Make_engine_p (Cc : Fox_tcp.Congestion.S) (P : Fox_tcp.Tcp.PARAMS) =
 struct
-  module Tcp = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Cc) (P)
+  module Tcp = Fox_tcp.Tcp.Make (Harness.Ip) (Harness.Ip_aux) (Cc) (P)
 
   module Sock = Fox_proto.Socket.Make (struct
     include Tcp
@@ -312,9 +310,8 @@ struct
      against the expected stream. *)
   let run_transfer ?(quick = false) ?(log = fun _ -> ()) scn =
     let bytes = if quick then scn.quick_bytes else scn.bytes in
-    with_cell
-      ~make_link:(fun () -> Link.point_to_point scn.netem)
-      (fun link ->
+    with_cell (fun () ->
+        let link = Link.point_to_point scn.netem in
         let client_ip, server_ip, server_addr =
           Harness.client_server link ~subnet:3
         in
@@ -399,9 +396,8 @@ struct
     let loris_until = if quick then 6_000_000 else 12_000_000 in
     let header_timeout_us = if deadlines then 800_000 else 0 in
     let netem = { Netem.gigabit with Netem.seed = 0x510e_115 } in
-    with_cell
-      ~make_link:(fun () -> Link.hub ~ports:2 netem)
-      (fun link ->
+    with_cell (fun () ->
+        let link = Link.hub ~ports:2 netem in
         let client_ip, server_ip, server_addr =
           Harness.client_server link ~subnet:3
         in

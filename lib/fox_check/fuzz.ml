@@ -224,11 +224,8 @@ module type ENGINE = Harness.ENGINE with type lower = Fip.t
    congestion control. *)
 module Make_fox (Cc : Fox_tcp.Congestion.S) : ENGINE = Harness.Engine (struct
   include Fox_tcp.Tcp.Make (Fip) (Faux) (Cc) (Tcp_params)
-
   type lower = Fip.t
-
   let name = "fox+" ^ Cc.name
-
   let stats_line t = Harness.fox_stats_line (stats t)
 end)
 
@@ -244,11 +241,8 @@ module Fox_engine =
 
 module Baseline_engine = Harness.Engine (struct
   include Baseline
-
   type lower = Fip.t
-
   let name = "baseline"
-
   let stats_line t = Harness.baseline_stats_line (stats t)
 end)
 
@@ -276,21 +270,10 @@ let run_flood s atk ~target ~event =
   if s.syn_flood > 0 || s.bad_acks > 0 then
     Scheduler.fork (fun () ->
         let flood = Flood.create atk.fip ~target in
-        let ports = ref [] in
-        for _ = 1 to s.syn_flood do
-          ports := Flood.syn flood ~dst_port:port :: !ports;
-          Scheduler.sleep 700
-        done;
-        for _ = 1 to s.bad_acks do
-          Flood.bare_ack flood ~dst_port:port;
-          Scheduler.sleep 700
-        done;
-        if s.flood_rst then
-          List.iter
-            (fun src_port ->
-              Flood.rst flood ~src_port ~dst_port:port;
-              Scheduler.sleep 300)
-            (List.rev !ports);
+        Flood.script flood ~dst_port:port ~syns:s.syn_flood
+          ~bad_acks:s.bad_acks ~gap_us:700
+          ~rst_every:(if s.flood_rst then 1 else 0)
+          ~rst_gap_us:300;
         event (Printf.sprintf "flood done (%d segments)" (Flood.sent flood)))
 
 let run_engine (type t) (module E : ENGINE with type t = t) s ~engine_salt

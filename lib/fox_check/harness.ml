@@ -59,6 +59,13 @@ let client_server link ~subnet =
   let server_addr = addr ~subnet 2 in
   (client, make_host link 1 ~addr:server_addr, server_addr)
 
+(** [sharded ~shards ~total world] runs [world ~shard ~indices] once per
+    shard, each on its own domain (inline when [shards = 1]) and serving
+    its slice of a [total]-connection fleet. *)
+let sharded ~shards ~total world =
+  Fox_shard.Shard.run ~shards (fun shard ->
+      world ~shard ~indices:(Fox_shard.Shard.split ~total ~shards ~shard))
+
 (* ------------------------------------------------------------------ *)
 (* The checked-cell bracket                                           *)
 (* ------------------------------------------------------------------ *)

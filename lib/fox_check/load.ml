@@ -25,9 +25,6 @@ module Ipv4_addr = Fox_ip.Ipv4_addr
 (* The stack under load                                               *)
 (* ------------------------------------------------------------------ *)
 
-module Ip = Harness.Ip
-module Ip_aux = Harness.Ip_aux
-
 (* Serving posture: room for a thousand concurrent handshakes (SYN
    cache on, backlog above the fleet size), short TIME-WAIT and RTO
    floors to keep the virtual span tight, and Nagle off — the
@@ -53,7 +50,8 @@ module Serve_params : Fox_tcp.Tcp.PARAMS = struct
   let isn_secret = Some (0x10ad_5ec4_e7a1, 0x0bad_cafe_f00d)
 end
 
-module Tcp = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Fox_tcp.Congestion.Reno)
+module Tcp =
+  Fox_tcp.Tcp.Make (Harness.Ip) (Harness.Ip_aux) (Fox_tcp.Congestion.Reno)
     (Serve_params)
 
 module Sock = Fox_proto.Socket.Make (struct
@@ -331,11 +329,7 @@ let run ?log (cfg : config) =
   if cfg.shards < 1 then invalid_arg "Load.run: shards must be >= 1";
   let wall0 = Unix.gettimeofday () in
   let worlds =
-    Fox_shard.Shard.run ~shards:cfg.shards (fun shard ->
-        run_world ?log cfg ~shard
-          ~indices:
-            (Fox_shard.Shard.split ~total:cfg.conns ~shards:cfg.shards
-               ~shard))
+    Harness.sharded ~shards:cfg.shards ~total:cfg.conns (run_world ?log cfg)
   in
   let wall_s = Unix.gettimeofday () -. wall0 in
   let sum f = Array.fold_left (fun acc w -> acc + f w) 0 worlds in

@@ -29,7 +29,6 @@ module Netem = Fox_dev.Netem
 module Device = Fox_dev.Device
 module Ipv4_addr = Fox_ip.Ipv4_addr
 module Ip = Harness.Ip
-module Ip_aux = Harness.Ip_aux
 
 module Tcp_params : Fox_tcp.Tcp.PARAMS = struct
   include Fox_tcp.Tcp.Default_params
@@ -40,7 +39,7 @@ module Tcp_params : Fox_tcp.Tcp.PARAMS = struct
 end
 
 module Tcp =
-  Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Fox_tcp.Congestion.Reno) (Tcp_params)
+  Fox_tcp.Tcp.Make (Ip) (Harness.Ip_aux) (Fox_tcp.Congestion.Reno) (Tcp_params)
 
 module Baseline_params : Fox_baseline.Tcp_monolithic.PARAMS = struct
   include Fox_baseline.Tcp_monolithic.Default_params
@@ -50,7 +49,8 @@ module Baseline_params : Fox_baseline.Tcp_monolithic.PARAMS = struct
   let rto_initial_us = 200_000
 end
 
-module Baseline = Fox_baseline.Tcp_monolithic.Make (Ip) (Ip_aux) (Baseline_params)
+module Baseline =
+  Fox_baseline.Tcp_monolithic.Make (Ip) (Harness.Ip_aux) (Baseline_params)
 
 (* ------------------------------------------------------------------ *)
 (* The gremlin                                                        *)
@@ -243,21 +243,15 @@ module type ENGINE = Harness.ENGINE with type lower = Ip.t
 
 module Fox_engine : ENGINE = Harness.Engine (struct
   include Tcp
-
   type lower = Ip.t
-
   let name = "fox"
-
   let stats_line t = Harness.fox_stats_line (stats t)
 end)
 
 module Baseline_engine : ENGINE = Harness.Engine (struct
   include Baseline
-
   type lower = Ip.t
-
   let name = "baseline"
-
   let stats_line t = Harness.baseline_stats_line (stats t)
 end)
 

@@ -20,8 +20,6 @@ module Scheduler = Fox_sched.Scheduler
 module Link = Fox_dev.Link
 module Netem = Fox_dev.Netem
 module Ipv4_addr = Fox_ip.Ipv4_addr
-module Ip = Harness.Ip
-module Ip_aux = Harness.Ip_aux
 
 (* Modest RTO floors keep loss-scenario virtual spans small without
    hiding the recovery machinery.  The advertised window is raised far
@@ -232,7 +230,7 @@ let payload_for scn ~bytes i =
   Bytes.to_string
     (Rng.bytes (Rng.create (scn.netem.Netem.seed lxor (i * 7919))) bytes)
 
-module Atk = Attack.Make (Ip) (Ip_aux)
+module Atk = Attack.Make (Harness.Ip) (Harness.Ip_aux)
 
 (* Count delivered bytes that are not the legitimate payload: mismatches
    within the common prefix plus any surplus beyond the expected length.
@@ -251,7 +249,7 @@ let injected_in delivered expected =
    {!Unguarded_params}). *)
 module Make_engine_p (Cc : Fox_tcp.Congestion.S) (P : Fox_tcp.Tcp.PARAMS) =
 struct
-  module Tcp = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Cc) (P)
+  module Tcp = Fox_tcp.Tcp.Make (Harness.Ip) (Harness.Ip_aux) (Cc) (P)
 
   (* One cell's world: wire, hosts, the optional adversary, the flows;
      run inside the checked-cell bracket by [run]. *)

@@ -35,9 +35,6 @@ module Ipv4_addr = Fox_ip.Ipv4_addr
 (* The stack under soak: plain layers, adversity comes from the wire  *)
 (* ------------------------------------------------------------------ *)
 
-module Ip = Harness.Ip
-module Ip_aux = Harness.Ip_aux
-
 (* Every overload knob is live, sized so a few hundred connections push
    each one past its limit: a small backlog the flood saturates in its
    first milliseconds, a TIME-WAIT table two orders smaller than the
@@ -65,7 +62,7 @@ module Soak_params : Fox_tcp.Tcp.PARAMS = struct
   let isn_secret = Some (0x5eed_0f0c_5ed1, 0x1234_5678_9abc)
 end
 
-module Flood = Synflood.Make (Ip) (Ip_aux)
+module Flood = Synflood.Make (Harness.Ip) (Harness.Ip_aux)
 
 (* ------------------------------------------------------------------ *)
 (* Configuration and report                                           *)
@@ -181,7 +178,8 @@ let payload_for cfg i =
    invariants, no leaks, determinism) must hold whichever algorithm
    drives the windows, so the same harness runs once per instance. *)
 module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
-  module Tcp = Fox_tcp.Tcp.Make (Ip) (Ip_aux) (Cc) (Soak_params)
+  module Tcp =
+    Fox_tcp.Tcp.Make (Harness.Ip) (Harness.Ip_aux) (Cc) (Soak_params)
 
   (* [run_world cfg ~shard ~indices] soaks one complete three-host world
      — own hub, hosts, engines, scheduler, and its own flood — serving
@@ -231,24 +229,11 @@ module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
                 Scheduler.fork (fun () ->
                     Scheduler.sleep cfg.flood_at_us;
                     let flood = Flood.create atk_ip ~target:server_addr in
-                    let ports = ref [] in
-                    for _ = 1 to cfg.flood_syns do
-                      ports := Flood.syn flood ~dst_port:port :: !ports;
-                      Scheduler.sleep 200
-                    done;
-                    for _ = 1 to cfg.flood_bad_acks do
-                      Flood.bare_ack flood ~dst_port:port;
-                      Scheduler.sleep 200
-                    done;
                     (* a third of the flood handshakes are later abandoned,
                        covering the RST-clears-cache-entry path *)
-                    List.iteri
-                      (fun i src_port ->
-                        if i mod 3 = 0 then begin
-                          Flood.rst flood ~src_port ~dst_port:port;
-                          Scheduler.sleep 200
-                        end)
-                      (List.rev !ports);
+                    Flood.script flood ~dst_port:port ~syns:cfg.flood_syns
+                      ~bad_acks:cfg.flood_bad_acks ~gap_us:200 ~rst_every:3
+                      ~rst_gap_us:200;
                     flood_sent := Flood.sent flood;
                     log
                       (Printf.sprintf "t=%d flood done: %d segments"
@@ -359,11 +344,8 @@ module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
     if cfg.shards < 1 then invalid_arg "Soak.run: shards must be >= 1";
     let cell =
       Harness.checked ~flight:false ~wheel:cfg.wheel (fun () ->
-          Fox_shard.Shard.run ~shards:cfg.shards (fun shard ->
-              run_world ?log cfg ~shard
-                ~indices:
-                  (Fox_shard.Shard.split ~total:cfg.conns ~shards:cfg.shards
-                     ~shard)))
+          Harness.sharded ~shards:cfg.shards ~total:cfg.conns
+            (run_world ?log cfg))
     in
     let worlds = cell.Harness.value in
     let invariant_faults = cell.faults in

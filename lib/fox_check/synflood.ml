@@ -48,16 +48,22 @@ struct
 
   let sent t = t.sent
 
-  let transmit t hdr =
+  (** [packet t ~headroom len] is a buffer for [len] bytes with
+      [headroom] bytes of TCP (and option) space above this host's lower
+      layers. *)
+  let packet t ~headroom len =
+    Packet.create
+      ~headroom:(headroom + Lower.headroom t.lconn)
+      ~tailroom:(Lower.tailroom t.lconn)
+      len
+
+  (** [transmit t ?data hdr] puts one hand-built segment on the wire,
+      counting it if the lower layer took it. *)
+  let transmit t ?(data = None) hdr =
     let pseudo_for len = Some (Aux.pseudo t.lconn ~proto:proto_number ~len) in
     match
-      Action.externalize ~alg:`Basic ~pseudo_for ~hdr ~data:None
-        ~allocate:(fun len ->
-          Packet.create
-            ~headroom:(24 + Lower.headroom t.lconn)
-            ~tailroom:(Lower.tailroom t.lconn)
-            len)
-        ~send:t.lower_send ()
+      Action.externalize ~alg:`Basic ~pseudo_for ~hdr ~data
+        ~allocate:(packet t ~headroom:24) ~send:t.lower_send ()
     with
     | () -> t.sent <- t.sent + 1
     | exception Fox_proto.Common.Send_failed _ -> ()
@@ -106,4 +112,26 @@ struct
         ack = Seq.of_int 0x1234567;
         window = 4096;
       }
+
+  (** [script t ~dst_port ~syns ~bad_acks ~gap_us ~rst_every ~rst_gap_us]
+      fires [syns] SYNs and then [bad_acks] forged-cookie ACKs, [gap_us]
+      apart, then abandons every [rst_every]th SYN (none when [0]) with
+      an RST, [rst_gap_us] apart.  Call from a scheduler thread. *)
+  let script t ~dst_port ~syns ~bad_acks ~gap_us ~rst_every ~rst_gap_us =
+    let ports = ref [] in
+    for _ = 1 to syns do
+      ports := syn t ~dst_port :: !ports;
+      Fox_sched.Scheduler.sleep gap_us
+    done;
+    for _ = 1 to bad_acks do
+      bare_ack t ~dst_port;
+      Fox_sched.Scheduler.sleep gap_us
+    done;
+    List.iteri
+      (fun i src_port ->
+        if rst_every > 0 && i mod rst_every = 0 then begin
+          rst t ~src_port ~dst_port;
+          Fox_sched.Scheduler.sleep rst_gap_us
+        end)
+      (List.rev !ports)
 end
