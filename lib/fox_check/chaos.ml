@@ -291,15 +291,12 @@ let with_cell body =
 (* The cells                                                          *)
 (* ------------------------------------------------------------------ *)
 
-module Make_engine_p (Cc : Fox_tcp.Congestion.S) (P : Fox_tcp.Tcp.PARAMS) =
+module Make_engine (Cc : Fox_tcp.Congestion.S) (P : Fox_tcp.Tcp.PARAMS) =
 struct
   module Tcp = Fox_tcp.Tcp.Make (Harness.Ip) (Harness.Ip_aux) (Cc) (P)
+  module Bulk = Harness.Bulk (Tcp)
 
-  module Sock = Fox_proto.Socket.Make (struct
-    include Tcp
-
-    type address_pattern = pattern
-  end)
+  module Sock = Harness.Socket (Tcp)
 
   module Http = Fox_app.Http.Make (Sock)
 
@@ -323,33 +320,15 @@ struct
         let stats =
           Scheduler.run (fun () ->
               install ~log scn.plan link;
-              ignore
-                (Tcp.start_passive server_t { Tcp.local_port = port }
-                   (fun conn ->
-                     ( (fun packet ->
-                         Buffer.add_string buf (Packet.to_string packet);
-                         Packet.release packet),
-                       function
-                       | Fox_proto.Status.Remote_close -> Tcp.close conn
-                       | _ -> () )));
+              Bulk.sink server_t ~port (fun () -> Buffer.add_string buf);
               Scheduler.fork (fun () ->
-                  match
-                    Tcp.connect client_t
-                      { Tcp.peer = server_addr; port; local_port = None }
-                      (fun _conn -> (ignore, ignore))
-                  with
+                  match Bulk.dial client_t ~peer:server_addr ~port with
                   | exception Fox_proto.Common.Connection_failed msg ->
                     log (Printf.sprintf "connect failed: %s" msg)
                   | conn ->
                     client_conn := Some conn;
-                    let p = Tcp.allocate_send conn (String.length payload) in
-                    Packet.blit_from_string payload 0 p 0
-                      (String.length payload);
-                    (match Tcp.send conn p with
-                    | () -> ()
-                    | exception Fox_proto.Common.Send_failed msg ->
-                      log (Printf.sprintf "send failed: %s" msg));
-                    Tcp.close conn))
+                    Bulk.push conn payload ~on_failed:(fun msg ->
+                        log (Printf.sprintf "send failed: %s" msg))))
         in
         let delivered = Buffer.contents buf in
         let cs = Tcp.stats client_t in
@@ -486,14 +465,12 @@ struct
         })
 end
 
-module Make_engine (Cc : Fox_tcp.Congestion.S) = Make_engine_p (Cc) (Chaos_params)
-
-module Unguarded_reno = Make_engine_p (Fox_tcp.Congestion.Reno) (Unguarded_params)
+module Unguarded_reno = Make_engine (Fox_tcp.Congestion.Reno) (Unguarded_params)
 
 (* One guarded engine per algorithm, built once. *)
 let engines =
   Harness.per_cc (fun (module Cc) ->
-      let module E = Make_engine (Cc) in
+      let module E = Make_engine (Cc) (Chaos_params) in
       (E.run_transfer, E.run_slowloris))
 
 let run_cell ?quick ?log ~cc family =
@@ -531,10 +508,8 @@ let run_teeth_blackhole ?quick ?log () =
     until their owners give up, and legitimate clients exhaust their
     retries.  Must NOT serve every legitimate client. *)
 let run_teeth_slowloris ?quick ?log () =
-  let _, run_slowloris =
-    Harness.lookup ~who:"Chaos" engines Fox_tcp.Congestion.Reno.name
-  in
-  run_slowloris ?quick ?log ~deadlines:false ()
+  snd (Harness.lookup ~who:"Chaos" engines Fox_tcp.Congestion.Reno.name)
+    ?quick ?log ~deadlines:false ()
 
 (* ------------------------------------------------------------------ *)
 (* The verdict                                                        *)
@@ -550,9 +525,7 @@ let check ?quick ?log () =
   let r1 = run_matrix ?quick ?log () in
   let r2 = run_matrix ?quick ?log () in
   let problems = ref [] in
-  let problem fmt =
-    Printf.ksprintf (fun msg -> problems := msg :: !problems) fmt
-  in
+  let problem fmt = Harness.problem problems fmt in
   List.iter2
     (fun a b ->
       if not (String.equal (fingerprint a) (fingerprint b)) then

@@ -399,9 +399,7 @@ let check_schedule ?(engine = (module Fox_engine : ENGINE)) s =
   in
   let payload = payload_of s in
   let problems = ref [] in
-  let problem fmt =
-    Printf.ksprintf (fun msg -> problems := msg :: !problems) fmt
-  in
+  let problem fmt = Harness.problem problems fmt in
   List.iter
     (fun f -> problem "invariant violation: %s" f)
     fox.invariant_faults;

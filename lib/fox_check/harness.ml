@@ -6,9 +6,6 @@
 
 open Fox_basis
 module Bus = Fox_obs.Bus
-module Timer = Fox_sched.Timer
-module Link = Fox_dev.Link
-module Device = Fox_dev.Device
 module Ipv4_addr = Fox_ip.Ipv4_addr
 module Status = Fox_proto.Status
 
@@ -23,12 +20,15 @@ module Ip_aux = Fox_ip.Ip_aux.Make (Ip)
 (* Harness hosts live on 10.N.0.0/24.  There is no ARP in these stacks:
    an address maps to the MAC 02:00:00:00:NN:HH statically, N being the
    subnet and H the host byte. *)
-let addr ~subnet host = Ipv4_addr.of_int ((10 lsl 24) lor (subnet lsl 16) lor host)
+let addr ~subnet host =
+  Ipv4_addr.of_int ((10 lsl 24) lor (subnet lsl 16) lor host)
 
 let mac_of addr =
   let a = Ipv4_addr.to_int addr in
   Fox_eth.Mac.of_string
-    (Printf.sprintf "02:00:00:00:%02x:%02x" ((a lsr 16) land 0xff) (a land 0xff))
+    (Printf.sprintf "02:00:00:00:%02x:%02x"
+       ((a lsr 16) land 0xff)
+       (a land 0xff))
 
 let route_of addr =
   Fox_ip.Route.local
@@ -43,7 +43,8 @@ let lower_pattern = { Fox_eth.Eth.match_proto = Fox_eth.Frame.ethertype_ipv4 }
 (** [eth_of link index ~addr] is the Ethernet instance of a host on port
     [index] of [link]. *)
 let eth_of link index ~addr =
-  Eth.create (Device.create (Link.port link index)) ~mac:(mac_of addr)
+  let dev = Fox_dev.Device.create (Fox_dev.Link.port link index) in
+  Eth.create dev ~mac:(mac_of addr)
 
 (** [make_host link index ~addr] is the IP instance of a host on port
     [index] of [link], on [addr]'s /24. *)
@@ -51,9 +52,8 @@ let make_host link index ~addr =
   Ip.create (eth_of link index ~addr)
     { Ip.local_ip = addr; route = route_of addr; lower_address; lower_pattern }
 
-(** [client_server link ~subnet] is the usual pair, built client first:
-    the client at .1 on port 0 and the server at .2 on port 1.  Returns
-    both IP instances and the server's address. *)
+(** [client_server link ~subnet] builds the client (.1, port 0), then the
+    server (.2, port 1); it returns both and the server's address. *)
 let client_server link ~subnet =
   let client = make_host link 0 ~addr:(addr ~subnet 1) in
   let server_addr = addr ~subnet 2 in
@@ -117,7 +117,7 @@ let checked ?(invariants = true) ?(differential = false) ?(flight = true)
   in
   set Packet.offload_enabled true;
   set Packet.pool_enabled true;
-  Option.iter (set Timer.use_wheel) wheel;
+  Option.iter (set Fox_sched.Timer.use_wheel) wheel;
   if differential then begin
     set Fox_tcp.Receive.differential true;
     set Fox_tcp.Receive.on_mismatch (fun msg ->
@@ -147,6 +147,11 @@ let checked ?(invariants = true) ?(differential = false) ?(flight = true)
   in
   { value; faults = !faults; leaked; flight = !ring }
 
+(** [problem problems fmt ...] records one formatted problem, newest
+    first. *)
+let problem problems fmt =
+  Printf.ksprintf (fun msg -> problems := msg :: !problems) fmt
+
 (** [last ~cap lines] keeps the newest [cap] lines of a flight ring,
     noting how many older ones were elided. *)
 let last ~cap lines =
@@ -160,10 +165,9 @@ let last ~cap lines =
 (* The engine adapter                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** The slice of a TCP both the structured engine ([Fox_tcp.Tcp.Make])
-    and the monolithic baseline satisfy, plus a label and a one-line
-    counter summary. *)
-module type TCP = sig
+(** The connection slice of a TCP both the structured engine
+    ([Fox_tcp.Tcp.Make]) and the monolithic baseline satisfy. *)
+module type CONN = sig
   type address = { peer : Ipv4_addr.t; port : int; local_port : int option }
   type pattern = { local_port : int }
 
@@ -171,6 +175,55 @@ module type TCP = sig
     Fox_proto.Socket.CONNECTOR
       with type address := address
        and type address_pattern := pattern
+end
+
+(** The buffered socket veneer over a TCP. *)
+module Socket (T : CONN) = Fox_proto.Socket.Make (struct
+  include T
+
+  type address_pattern = pattern
+end)
+
+(** Bulk transfers over any TCP: a listener that collects what every
+    accepted connection carries, and a one-shot send. *)
+module Bulk (T : CONN) = struct
+  let send_string conn str =
+    let p = T.allocate_send conn (String.length str) in
+    Packet.blit_from_string str 0 p 0 (String.length str);
+    T.send conn p
+
+  (** [dial ?on_status t ~peer ~port] opens a connection from an
+      ephemeral port; whatever the peer sends is ignored. *)
+  let dial ?(on_status = ignore) t ~peer ~port =
+    T.connect t { peer; port; local_port = None } (fun _ ->
+        (ignore, on_status))
+
+  (** [sink t ~port on_accept] listens on [port] and hands each accepted
+      connection's bytes to the receiver [on_accept ()] returns.  It
+      closes its half when the peer closes theirs, so the client (the
+      active closer) carries the TIME-WAIT load. *)
+  let sink t ~port on_accept =
+    ignore
+      (T.start_passive t { local_port = port } (fun conn ->
+           let receive = on_accept () in
+           ( (fun packet ->
+               receive (Packet.to_string packet);
+               Packet.release packet),
+             function Status.Remote_close -> T.close conn | _ -> () )))
+
+  (** [push ?on_failed conn payload] sends [payload] as one packet and
+      closes; a refused send is reported to [on_failed]. *)
+  let push ?(on_failed = ignore) conn payload =
+    (match send_string conn payload with
+    | () -> ()
+    | exception Fox_proto.Common.Send_failed msg -> on_failed msg);
+    T.close conn
+end
+
+(** The engine adapter's argument: a TCP, its lower layer, a label and
+    a one-line counter summary. *)
+module type TCP = sig
+  include CONN
 
   type lower
 
@@ -205,17 +258,13 @@ end
 
 module Engine (T : TCP) : ENGINE with type lower = T.lower = struct
   include T
+  include Bulk (T)
 
   let listen t ~port ~on_data ~on_status =
-    ignore (start_passive t { local_port = port } (fun _ -> (on_data, on_status)))
+    ignore
+      (start_passive t { local_port = port } (fun _ -> (on_data, on_status)))
 
-  let connect t ~peer ~port ~on_status =
-    connect t { peer; port; local_port = None } (fun _ -> (ignore, on_status))
-
-  let send_string conn str =
-    let p = allocate_send conn (String.length str) in
-    Packet.blit_from_string str 0 p 0 (String.length str);
-    send conn p
+  let connect t ~peer ~port ~on_status = dial ~on_status t ~peer ~port
 end
 
 (** The counter summaries the fuzz trace prints per engine. *)

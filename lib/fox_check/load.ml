@@ -54,11 +54,7 @@ module Tcp =
   Fox_tcp.Tcp.Make (Harness.Ip) (Harness.Ip_aux) (Fox_tcp.Congestion.Reno)
     (Serve_params)
 
-module Sock = Fox_proto.Socket.Make (struct
-  include Tcp
-
-  type address_pattern = pattern
-end)
+module Sock = Harness.Socket (Tcp)
 
 module Http = Fox_app.Http.Make (Sock)
 module Classic = Fox_app.Classic.Make (Sock)
@@ -69,18 +65,16 @@ module Classic = Fox_app.Classic.Make (Sock)
 
 type app = Http_app | Echo | Chargen | Discard
 
-let app_of_string = function
-  | "http" -> Some Http_app
-  | "echo" -> Some Echo
-  | "chargen" -> Some Chargen
-  | "discard" -> Some Discard
-  | _ -> None
+let app_names =
+  [ (Http_app, "http"); (Echo, "echo"); (Chargen, "chargen");
+    (Discard, "discard") ]
 
-let app_to_string = function
-  | Http_app -> "http"
-  | Echo -> "echo"
-  | Chargen -> "chargen"
-  | Discard -> "discard"
+let app_to_string app = List.assoc app app_names
+
+let app_of_string s =
+  List.find_map
+    (fun (app, name) -> if name = s then Some app else None)
+    app_names
 
 type config = {
   seed : int;
@@ -368,9 +362,7 @@ let run ?log (cfg : config) =
 let check ?log cfg =
   let r = run ?log cfg in
   let problems = ref [] in
-  let problem fmt =
-    Printf.ksprintf (fun msg -> problems := msg :: !problems) fmt
-  in
+  let problem fmt = Harness.problem problems fmt in
   if r.conn_errors > 0 then problem "%d connections errored" r.conn_errors;
   if r.requests_ok <> r.requests_attempted then
     problem "%d of %d requests failed or returned wrong bytes"

@@ -255,8 +255,8 @@ module Baseline_engine : ENGINE = Harness.Engine (struct
   let stats_line t = Harness.baseline_stats_line (stats t)
 end)
 
-let engines : (string * (module ENGINE)) list =
-  [ ("fox", (module Fox_engine)); ("baseline", (module Baseline_engine)) ]
+let engines : (module ENGINE) list =
+  [ (module Fox_engine); (module Baseline_engine) ]
 
 (* ------------------------------------------------------------------ *)
 (* One run                                                            *)
@@ -283,9 +283,7 @@ let run_one (module E : ENGINE) ~seed =
   let structured = E.name = "fox" in
   let delivered = Buffer.create (String.length payload) in
   let problems = ref [] in
-  let problem fmt =
-    Printf.ksprintf (fun msg -> problems := !problems @ [ msg ]) fmt
-  in
+  let problem fmt = Harness.problem problems fmt in
   let c =
     Harness.checked ~invariants:structured ~differential:structured
       (fun () ->
@@ -341,7 +339,7 @@ let run_one (module E : ENGINE) ~seed =
   if gremlin.injected = 0 then
     problem "gremlin heard %d frames but injected nothing — harness broken"
       gremlin.seen;
-  let problems = !problems in
+  let problems = List.rev !problems in
   {
     seed;
     engine = E.name;
@@ -361,7 +359,7 @@ let run_seeds ?(log = fun _ -> ()) ~seed ~iters () =
   let failures = ref [] in
   for i = 0 to iters - 1 do
     List.iter
-      (fun (_, engine) ->
+      (fun engine ->
         let o = run_one engine ~seed:(seed + i) in
         log o;
         if o.problems <> [] then failures := o :: !failures)

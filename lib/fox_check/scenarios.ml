@@ -247,12 +247,12 @@ let injected_in delivered expected =
    TCP parameter pack, so the same cells can run with the RFC 5961
    defenses on (the default, {!Scn_params}) and off (the teeth-check,
    {!Unguarded_params}). *)
-module Make_engine_p (Cc : Fox_tcp.Congestion.S) (P : Fox_tcp.Tcp.PARAMS) =
+module Make_engine (Cc : Fox_tcp.Congestion.S) (P : Fox_tcp.Tcp.PARAMS) =
 struct
   module Tcp = Fox_tcp.Tcp.Make (Harness.Ip) (Harness.Ip_aux) (Cc) (P)
+  module Bulk = Harness.Bulk (Tcp)
 
-  (* One cell's world: wire, hosts, the optional adversary, the flows;
-     run inside the checked-cell bracket by [run]. *)
+  (* One cell's world, run inside the checked-cell bracket by [run]. *)
   let world ~bytes scn =
     (* flows share the same wire: the forward medium (and its finite
        queue) is the bottleneck they contend for.  An attack scenario
@@ -272,7 +272,9 @@ struct
       match scn.attack with
       | None -> None
       | Some cfg ->
-        let atk_ip = Harness.make_host link 2 ~addr:(Harness.addr ~subnet:2 1) in
+        let atk_ip =
+          Harness.make_host link 2 ~addr:(Harness.addr ~subnet:2 1)
+        in
         Some
           ( cfg,
             Atk.create ~model:cfg.model atk_ip ~target:server_addr
@@ -288,20 +290,14 @@ struct
     let client_conns : Tcp.connection list ref = ref [] in
     let stats =
       Scheduler.run (fun () ->
-          ignore
-            (Tcp.start_passive server_t { Tcp.local_port = port }
-               (fun conn ->
-                 let buf = Buffer.create bytes in
-                 let finished = ref 0 in
-                 streams := (buf, finished) :: !streams;
-                 ( (fun packet ->
-                     Buffer.add_string buf (Packet.to_string packet);
-                     Packet.release packet;
-                     if Buffer.length buf >= bytes && !finished = 0 then
-                       finished := Scheduler.now ()),
-                   function
-                   | Fox_proto.Status.Remote_close -> Tcp.close conn
-                   | _ -> () )));
+          Bulk.sink server_t ~port (fun () ->
+              let buf = Buffer.create bytes in
+              let finished = ref 0 in
+              streams := (buf, finished) :: !streams;
+              fun data ->
+                Buffer.add_string buf data;
+                if Buffer.length buf >= bytes && !finished = 0 then
+                  finished := Scheduler.now ());
           (match attacker with
           | None -> ()
           | Some (cfg, atk) ->
@@ -318,22 +314,11 @@ struct
                    colliding on the half-open path; the flows still
                    overlap for >99% of the transfer *)
                 Scheduler.sleep (i * 500);
-                match
-                  Tcp.connect client_t
-                    { Tcp.peer = server_addr; port; local_port = None }
-                    (fun _conn -> (ignore, ignore))
-                with
+                match Bulk.dial client_t ~peer:server_addr ~port with
                 | exception Fox_proto.Common.Connection_failed _ -> ()
                 | conn ->
                   client_conns := conn :: !client_conns;
-                  let payload = payload_for scn ~bytes i in
-                  let p = Tcp.allocate_send conn (String.length payload) in
-                  Packet.blit_from_string payload 0 p 0
-                    (String.length payload);
-                  (match Tcp.send conn p with
-                  | () -> ()
-                  | exception Fox_proto.Common.Send_failed _ -> ());
-                  Tcp.close conn)
+                  Bulk.push conn (payload_for scn ~bytes i))
           done)
     in
     let end_time = stats.Scheduler.end_time in
@@ -418,8 +403,6 @@ struct
     else { r with flight = c.flight }
 end
 
-module Make_engine (Cc : Fox_tcp.Congestion.S) = Make_engine_p (Cc) (Scn_params)
-
 (* RFC 5961 switched off: RFC 793's original acceptance rules.  The
    blind cells run demonstrably worse here — the teeth-check that the
    defenses, not luck, carry the guarded matrix. *)
@@ -429,7 +412,7 @@ module Unguarded_params : Fox_tcp.Tcp.PARAMS = struct
   let rfc5961 = false
 end
 
-module Unguarded_reno = Make_engine_p (Fox_tcp.Congestion.Reno) (Unguarded_params)
+module Unguarded_reno = Make_engine (Fox_tcp.Congestion.Reno) (Unguarded_params)
 
 (** [run_cell_unguarded scn] runs one cell under Reno with the RFC 5961
     defenses disabled. *)
@@ -451,7 +434,7 @@ module Secure_unguarded_params : Fox_tcp.Tcp.PARAMS = struct
 end
 
 module Secure_unguarded_reno =
-  Make_engine_p (Fox_tcp.Congestion.Reno) (Secure_unguarded_params)
+  Make_engine (Fox_tcp.Congestion.Reno) (Secure_unguarded_params)
 
 (** [run_cell_unguarded_secure scn] runs one cell under Reno with the
     RFC 5961 defenses disabled but RFC 6528 secure ISNs enabled. *)
@@ -460,7 +443,7 @@ let run_cell_unguarded_secure ?quick scn = Secure_unguarded_reno.run ?quick scn
 (* One engine per algorithm, built once. *)
 let engines =
   Harness.per_cc (fun (module Cc) ->
-      let module E = Make_engine (Cc) in
+      let module E = Make_engine (Cc) (Scn_params) in
       E.run)
 
 let run_cell ?quick ~cc scn =

@@ -181,6 +181,8 @@ module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
   module Tcp =
     Fox_tcp.Tcp.Make (Harness.Ip) (Harness.Ip_aux) (Cc) (Soak_params)
 
+  module Bulk = Harness.Bulk (Tcp)
+
   (* [run_world cfg ~shard ~indices] soaks one complete three-host world
      — own hub, hosts, engines, scheduler, and its own flood — serving
      exactly the client connections in [indices] (original fleet
@@ -209,20 +211,10 @@ module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
     let stats =
           Scheduler.run (fun () ->
               if cfg.chaos <> [] then Chaos.install ~log cfg.chaos link;
-              ignore
-                (Tcp.start_passive server_t { Tcp.local_port = port }
-                   (fun conn ->
-                     let buf = Buffer.create cfg.bytes_per_conn in
-                     streams := buf :: !streams;
-                     ( (fun packet ->
-                         Buffer.add_string buf (Packet.to_string packet);
-                         Packet.release packet),
-                       (* close our half when the peer closes theirs, so the
-                          passive side tears down and the client (the active
-                          closer) carries the TIME-WAIT load *)
-                       function
-                       | Fox_proto.Status.Remote_close -> Tcp.close conn
-                       | _ -> () )));
+              Bulk.sink server_t ~port (fun () ->
+                  let buf = Buffer.create cfg.bytes_per_conn in
+                  streams := buf :: !streams;
+                  Buffer.add_string buf);
               (* the flood: scripted, mid-run, while early connections are
                  still transferring and later ones are still arriving *)
               if cfg.flood_syns > 0 || cfg.flood_bad_acks > 0 then
@@ -243,24 +235,13 @@ module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
               List.iter (fun i ->
                 Scheduler.fork (fun () ->
                     Scheduler.sleep (i * cfg.spacing_us);
-                    match
-                      Tcp.connect client_t
-                        { Tcp.peer = server_addr; port; local_port = None }
-                        (fun _conn -> (ignore, ignore))
-                    with
+                    match Bulk.dial client_t ~peer:server_addr ~port with
                     | exception Fox_proto.Common.Connection_failed msg ->
                       incr connect_failures;
                       log (Printf.sprintf "conn %d failed to open: %s" i msg)
                     | conn ->
-                      let payload = payload_for cfg i in
-                      let p = Tcp.allocate_send conn (String.length payload) in
-                      Packet.blit_from_string payload 0 p 0
-                        (String.length payload);
-                      (match Tcp.send conn p with
-                      | () -> ()
-                      | exception Fox_proto.Common.Send_failed msg ->
-                        log (Printf.sprintf "conn %d send failed: %s" i msg));
-                      Tcp.close conn)
+                      Bulk.push conn (payload_for cfg i) ~on_failed:(fun msg ->
+                          log (Printf.sprintf "conn %d send failed: %s" i msg)))
               ) indices)
         in
         let end_time = stats.Scheduler.end_time in
@@ -392,9 +373,7 @@ module Make_engine (Cc : Fox_tcp.Congestion.S) = struct
     let r1 = run ?log cfg in
     let r2 = run ?log cfg in
     let problems = ref [] in
-    let problem fmt =
-      Printf.ksprintf (fun msg -> problems := msg :: !problems) fmt
-    in
+    let problem fmt = Harness.problem problems fmt in
     if not (String.equal r1.fingerprint r2.fingerprint) then
       problem "non-deterministic: fingerprints %s vs %s differ" r1.fingerprint
         r2.fingerprint;

@@ -80,10 +80,8 @@ let effective_armed (info : Check_hook.info) kind =
    connection.  The memo is domain-local, like [Packet]'s pool: sharded
    harnesses run the hook on several domains at once, and two shards may
    hold connections with equal keys. *)
-let recovery_memo_key : (string, bool) Hashtbl.t Domain.DLS.key =
+let recovery_memo : (string, bool) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
-
-let recovery_memo () = Domain.DLS.get recovery_memo_key
 
 let memo_key tcb =
   tcb.Tcb.obs_id ^ "#" ^ Seq.to_string tcb.Tcb.iss
@@ -94,7 +92,7 @@ let memo_key tcb =
 let check_recovery_exit tcb note =
   let key = memo_key tcb in
   let now_rec = Congestion.in_recovery tcb.Tcb.cc in
-  let memo = recovery_memo () in
+  let memo = Domain.DLS.get recovery_memo in
   (match Hashtbl.find_opt memo key with
   | Some true when not now_rec ->
     if tcb.Tcb.cwnd > tcb.Tcb.ssthresh + tcb.Tcb.snd_mss then
@@ -108,7 +106,7 @@ let violations (info : Check_hook.info) : string list =
   incr checks_performed;
   if info.Check_hook.dead then begin
     (match Tcb.tcb_of info.Check_hook.after with
-    | Some tcb -> Hashtbl.remove (recovery_memo ()) (memo_key tcb)
+    | Some tcb -> Hashtbl.remove (Domain.DLS.get recovery_memo) (memo_key tcb)
     | None -> ());
     []
   end
@@ -238,7 +236,7 @@ let install ?on_violation () =
   (* connections from a previous harness run may reuse (obs_id, iss)
      keys; their recovery memos must not leak into this run (shard
      domains are spawned per run and start with an empty memo) *)
-  Hashtbl.reset (recovery_memo ());
+  Hashtbl.reset (Domain.DLS.get recovery_memo);
   match on_violation with
   | None -> Check_hook.install check
   | Some f ->
