@@ -555,8 +555,7 @@ let trace_of_seed ~seed = (check_schedule (generate ~seed)).trace
     delivery oracle and {!Tcb_invariants} apply to every algorithm; only
     Reno additionally promises trace equality with the pre-refactor
     engine. *)
-let run_matrix ?(log = fun _ _ -> ()) ?engines ~seed ~iters () =
-  let engines = match engines with Some e -> e | None -> fox_engines in
+let run_matrix ?(log = fun _ _ -> ()) ?(engines = fox_engines) ~seed ~iters () =
   List.map
     (fun (cc, engine) ->
       let failures = run_seeds ~log:(log cc) ~engine ~seed ~iters () in
