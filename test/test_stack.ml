@@ -346,6 +346,74 @@ let test_lan_hosts_talk () =
     Alcotest.(check int) "three clients served" 3 !served
   | [] -> Alcotest.fail "no hosts"
 
+(* ------------------------------------------------------------------ *)
+(* Event-order pins                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Scheduler statistics of three whole-stack runs, recorded before timer
+   expiries and wire deliveries stopped being sleeping threads.  The
+   substrate may change how many threads it creates ([forks],
+   [blocked]) but not the order or timing of events: every run must
+   still make the same switches, pass through the sleep queue the same
+   number of times and end at the same virtual microsecond, having
+   delivered the same bytes. *)
+type pin = {
+  switches : int;
+  sleeps : int;
+  end_time : int;
+  delivered : int;
+  retransmits : int;
+}
+
+let pin_transfer ?netem ?plan ~bytes () =
+  let link, sender, receiver = Network.pair ~engine:Network.Fox ?netem () in
+  let during =
+    Option.map (fun plan _finished -> Fox_check.Chaos.install plan link) plan
+  in
+  let r = Experiments.Fox_run.transfer ?during ~sender ~receiver ~bytes () in
+  let s = r.Experiments.sched in
+  {
+    switches = s.Scheduler.switches;
+    sleeps = s.Scheduler.sleeps;
+    end_time = s.Scheduler.end_time;
+    delivered = r.Experiments.bytes;
+    retransmits = r.Experiments.retransmissions;
+  }
+
+let check_pin expected got =
+  Alcotest.(check int) "switches" expected.switches got.switches;
+  Alcotest.(check int) "sleeps" expected.sleeps got.sleeps;
+  Alcotest.(check int) "end_time" expected.end_time got.end_time;
+  Alcotest.(check int) "bytes delivered" expected.delivered got.delivered;
+  Alcotest.(check int) "retransmissions" expected.retransmits got.retransmits
+
+let test_pin_clean_transfer () =
+  Alcotest.(check bool) "threaded timers" false !Fox_sched.Timer.use_wheel;
+  check_pin
+    { switches = 4468; sleeps = 2072; end_time = 1_478_140;
+      delivered = 1_000_000; retransmits = 1 }
+    (pin_transfer ~bytes:1_000_000 ())
+
+(* The default 4096-byte window holds under three full segments, too few
+   for three duplicate ACKs: every retransmission here is an RTO. *)
+let test_pin_lossy_transfer () =
+  check_pin
+    { switches = 940; sleeps = 445; end_time = 2_564_503; delivered = 200_000;
+      retransmits = 10 }
+    (pin_transfer
+       ~netem:(Netem.adverse ~loss:0.05 ~seed:0x9e7 Netem.ethernet_10mbps)
+       ~bytes:200_000 ())
+
+(* The chaos link-flap cell's wire and plan: a held outage, a dropping
+   outage and a one-second [Scheduler.advance]. *)
+let test_pin_clock_jump () =
+  let scn = Option.get (Fox_check.Chaos.find_transfer "link_flap") in
+  check_pin
+    { switches = 1203; sleeps = 567; end_time = 1_973_817;
+      delivered = 262_144; retransmits = 2 }
+    (pin_transfer ~netem:scn.Fox_check.Chaos.netem
+       ~plan:scn.Fox_check.Chaos.plan ~bytes:262_144 ())
+
 let () =
   Alcotest.run "fox_stack"
     [
@@ -380,5 +448,14 @@ let () =
           Alcotest.test_case "table 1 shape" `Quick test_table1_shape;
           Alcotest.test_case "table 2 shape" `Quick test_table2_shape;
           Alcotest.test_case "4-host lan" `Quick test_lan_hosts_talk;
+        ] );
+      ( "event-order pins",
+        [
+          Alcotest.test_case "1 MB clean transfer" `Quick
+            test_pin_clean_transfer;
+          Alcotest.test_case "lossy transfer, RTOs fire" `Quick
+            test_pin_lossy_transfer;
+          Alcotest.test_case "link flap with clock jump" `Quick
+            test_pin_clock_jump;
         ] );
     ]
