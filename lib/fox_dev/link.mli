@@ -4,10 +4,11 @@
     the other port(s) after the serialisation and propagation delays of the
     wire's {!Netem} configuration, possibly dropped, duplicated, jittered
     or bit-corrupted (all deterministically, from the configured seed).
-    Delivery happens on a freshly forked scheduler thread, so receive
-    upcalls never run inside the sender's stack frame — the same asynchrony
-    a real interrupt-driven device has, but with a total order imposed by
-    the virtual clock. *)
+    Delivery happens on a fresh scheduler thread created at the arrival
+    time ({!Fox_sched.Scheduler.at}), so receive upcalls never run inside
+    the sender's stack frame — the same asynchrony a real
+    interrupt-driven device has, but with a total order imposed by the
+    virtual clock. *)
 
 type port = {
   transmit : Fox_basis.Packet.t -> unit;

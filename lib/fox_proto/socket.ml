@@ -380,12 +380,10 @@ end = struct
       let gen = t.deadline_gen in
       let due = Fox_sched.Scheduler.now () + max 0 us in
       t.read_deadline <- Some due;
-      (* the watcher sleeps on the virtual clock and posts into the
+      (* the watcher is posted on the virtual clock and signals the
          mailbox like any other event, so expiry is serialised with data
          arrival — no racing wakeups *)
-      Fox_sched.Scheduler.fork (fun () ->
-          let wait = due - Fox_sched.Scheduler.now () in
-          if wait > 0 then Fox_sched.Scheduler.sleep wait;
+      Fox_sched.Scheduler.at due (fun () ->
           if t.deadline_gen = gen then
             Fox_sched.Cond.signal t.mailbox (Expired gen))
 end

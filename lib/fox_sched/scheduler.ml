@@ -13,6 +13,8 @@ type _ Effect.t +=
   | Fork : (unit -> unit) -> unit Effect.t
   | Yield : unit Effect.t
   | Sleep : int -> unit Effect.t
+  | After : int * bool ref option * (unit -> unit) -> unit Effect.t
+  | At : int * (unit -> unit) -> unit Effect.t
   | Now : int Effect.t
   | Advance : int -> unit Effect.t
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
@@ -25,6 +27,10 @@ let fork f = Effect.perform (Fork f)
 let yield () = Effect.perform Yield
 
 let sleep us = Effect.perform (Sleep us)
+
+let after ?cleared us f = Effect.perform (After (us, cleared, f))
+
+let at time f = Effect.perform (At (time, f))
 
 let now () = Effect.perform Now
 
@@ -118,6 +124,17 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
                   st.sleep_count <- st.sleep_count + 1;
                   Heap.add st.sleepq
                     (st.clock + max 0 us, fun () -> continue k ()))
+            | After (us, cleared, g) ->
+              Some
+                (fun (k : (a, unit) continuation) ->
+                  enqueue (fun () -> post (st.clock + max 0 us) cleared g);
+                  continue k ())
+            | At (time, g) ->
+              Some
+                (fun (k : (a, unit) continuation) ->
+                  enqueue (fun () ->
+                      if time > st.clock then post time None g else spawn g);
+                  continue k ())
             | Now -> Some (fun (k : (a, unit) continuation) -> continue k st.clock)
             | Advance us ->
               Some
@@ -140,6 +157,16 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
                   st.completed <- st.completed + 1)
             | _ -> None);
       }
+  (* A posted thunk enters the sleep queue at its own run-queue step —
+     the step where a forked thread would have started and called
+     [sleep] — so heap order, switches and sleeps are those of the
+     thread it replaces; the thread itself is only created at the due
+     step, and never if [cleared] was set by then. *)
+  and post due cleared f =
+    st.sleep_count <- st.sleep_count + 1;
+    Heap.add st.sleepq
+      ( due,
+        fun () -> match cleared with Some c when !c -> () | _ -> spawn f )
   in
   enqueue (fun () -> spawn main);
   let wall0 = if realtime then Unix.gettimeofday () else 0.0 in
@@ -179,9 +206,10 @@ let run ?(start_time = 0) ?(realtime = false) ?idle main =
           | None -> None
         in
         match idle with
-        | Some hook when st.alive > 0 ->
+        | Some hook when st.alive > 0 || not (Heap.is_empty st.sleepq) ->
           (* external I/O gets a chance to make threads runnable; the hook
-             may block up to [until] real microseconds *)
+             may block up to [until] real microseconds.  Pending posts are
+             outstanding work too, though no thread is alive for them. *)
           hook until;
           loop ()
         | _ -> (

@@ -15,11 +15,20 @@
     All operations except {!run} must be called from inside a thread of a
     running scheduler; calling them elsewhere raises [Effect.Unhandled]. *)
 
-(** Statistics returned by {!run}. *)
+(** Statistics returned by {!run}.  [switches], [sleeps] and [end_time]
+    describe the order and timing of events: replacing a thread that
+    forks only to sleep and then act by {!after} or {!at} leaves them
+    unchanged.  [forks] and [blocked] count threads, and a pending post
+    is not one: it creates its thread only when due (never, if cleared),
+    so both may drop when code moves onto posts. *)
 type stats = {
-  switches : int;  (** number of times a thread was given the CPU *)
+  switches : int;
+      (** run-queue steps: a thread given the CPU, or a post entering or
+          leaving the sleep queue *)
   forks : int;  (** threads created (including the main thread) *)
-  sleeps : int;  (** calls to [sleep] that actually suspended *)
+  sleeps : int;
+      (** calls to [sleep] that actually suspended, plus posts that
+          entered the sleep queue *)
   completed : int;  (** threads that ran to completion or exited *)
   blocked : int;  (** threads still suspended when the run ended *)
   end_time : int;  (** virtual clock (µs) at termination *)
@@ -37,10 +46,11 @@ type stats = {
     kernel.
 
     [idle] is invoked whenever no thread is runnable, with the number of
-    microseconds until the earliest sleeper ([None] if there are no
-    sleepers).  It may block for up to that long (e.g. in [select] on a
-    device) and may make threads runnable by calling resumers obtained
-    from {!suspend} — this is how external I/O enters the scheduler.  When
+    microseconds until the earliest sleeper or pending post ([None] if
+    there are neither).  It may block for up to that long (e.g. in
+    [select] on a device) and may make threads runnable by calling
+    resumers obtained from {!suspend} — this is how external I/O enters
+    the scheduler.  When
     an [idle] hook is present the run only terminates via {!stop} or when
     the hook leaves the scheduler with neither runnable nor sleeping
     threads and returns without enqueuing work twice in a row. *)
@@ -63,12 +73,26 @@ val yield : unit -> unit
     sleep queue. *)
 val sleep : int -> unit
 
+(** [after ?cleared us f] runs [f] in a new thread [us] microseconds
+    after the clock at which the post is processed — exactly when
+    [fork (fun () -> sleep us; f ())] would run it, and at the same
+    switch and sleep counts — but no thread exists while the post is
+    pending.  If [cleared] holds [true] when the post comes due, nothing
+    is created: the Figure 11 "clear by changing a variable" contract. *)
+val after : ?cleared:bool ref -> int -> (unit -> unit) -> unit
+
+(** [at time f] runs [f] in a new thread at absolute virtual [time]; if
+    [time] has passed when the post is processed, [f] starts at that
+    step, as [fork (fun () -> let w = time - now () in if w > 0 then
+    sleep w; f ())] would. *)
+val at : int -> (unit -> unit) -> unit
+
 (** [now ()] is the current virtual time in microseconds. *)
 val now : unit -> int
 
 (** [advance us] jumps the virtual clock forward by [us] microseconds
-    without yielding: every sleeper whose due time falls inside the jump
-    becomes due at once (released in due order when the run queue next
+    without yielding: every sleeper or post whose due time falls inside
+    the jump becomes due at once (released in due order when the run queue next
     empties).  This is the chaos harness's clock-jump fault — the
     suspend/resume a real host experiences — not a scheduling primitive
     for ordinary code. *)
@@ -82,9 +106,9 @@ val suspend : (('a -> unit) -> unit) -> 'a
 (** [exit_thread ()] terminates the current thread immediately. *)
 val exit_thread : unit -> 'a
 
-(** [stop ()] terminates the whole run: the run queue and sleep queue are
-    discarded and {!run} returns.  Used by servers that would otherwise
-    sleep forever. *)
+(** [stop ()] terminates the whole run: the run queue, the sleep queue and
+    any pending posts are discarded and {!run} returns.  Used by servers
+    that would otherwise sleep forever. *)
 val stop : unit -> 'a
 
 val pp_stats : Format.formatter -> stats -> unit

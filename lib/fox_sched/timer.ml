@@ -1,12 +1,12 @@
 (* The paper's Figure-11 timer interface, with two backends.
 
-   [Threaded] is a direct port of Figure 11: the timer is an updatable
-   boolean shared between the creator and the sleeping thread's closure.
-   Every armed timer is one scheduler sleeper, so it is exact to the
-   microsecond but costs a heap entry per timer — the ablation baseline.
+   [Threaded] is Figure 11: the timer is an updatable boolean shared
+   between the creator and the scheduler's post.  Every armed timer is
+   one sleep-queue entry, exact to the microsecond; the handler's thread
+   is created only at expiry, and not at all once the timer is cleared.
 
    [Wheeled] parks the timer in the hierarchical timing wheel instead:
-   O(1) arm/clear and a single shared alarm sleeper, at the price of
+   O(1) arm/clear and a single shared alarm post, at the price of
    firing up to one wheel grain (~1 ms virtual) late.  Select it with
    [use_wheel] before the stack starts arming timers. *)
 
@@ -18,11 +18,7 @@ let start handler us =
   if !use_wheel then Wheeled (Wheel.schedule handler us)
   else begin
     let cleared = ref false in
-    let sleep () =
-      Scheduler.sleep us;
-      if !cleared then () else handler ()
-    in
-    Scheduler.fork sleep;
+    Scheduler.after ~cleared us handler;
     Threaded cleared
   end
 

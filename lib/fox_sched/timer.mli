@@ -2,15 +2,18 @@
     backend.
 
     The default backend is the paper's: [start] heap-allocates a fresh
-    boolean cell, creates a closure capturing it together with the
-    handler, and forks a thread that sleeps and then calls the handler
-    only if the cell is still unset.  [clear] works "by changing the
-    value of a variable".  TCP's retransmission, delayed-ACK, 2MSL and
-    user timers are all built on this.
+    boolean cell and posts the handler to the scheduler
+    ({!Scheduler.after}), to run only if the cell is still unset when it
+    comes due.  [clear] works "by changing the value of a variable".
+    Where the paper forks a thread that sleeps and then calls the
+    handler, an armed timer here is a sleep-queue entry: the handler's
+    thread is created at expiry, and a cleared timer never creates one.
+    The order and timing of events are the same.  TCP's retransmission,
+    delayed-ACK, 2MSL and user timers are all built on this.
 
     Setting {!use_wheel} routes new timers through the hierarchical
     timing wheel ({!Wheel}) instead: O(1) arm/clear and one shared
-    scheduler sleeper for any number of timers, at the price of firing
+    scheduler alarm for any number of timers, at the price of firing
     up to one wheel grain (≈1 ms virtual) after the requested deadline.
     The flag is read at {!start} time, so both kinds may coexist; flip
     it before the stack arms its first timer for a clean comparison. *)
@@ -18,7 +21,7 @@
 type t
 
 (** When true, subsequently started timers use the timing-wheel backend;
-    when false (the default), each timer is its own sleeping thread as
+    when false (the default), each timer is its own sleep-queue entry as
     in Figure 11. *)
 val use_wheel : bool ref
 

@@ -1,11 +1,11 @@
 (* A hierarchical timing wheel (Varghese & Lauck) behind the paper's
    Figure-11 timer interface.
 
-   The Figure-11 timer costs one scheduler sleeper — one heap entry — per
-   armed timer.  That is fine for a handful of connections but at
+   The Figure-11 timer costs one scheduler sleep-heap entry per armed
+   timer.  That is fine for a handful of connections but at
    thousands of concurrent RTO / delayed-ACK / TIME-WAIT timers the
    scheduler's sleep queue becomes the hot structure, and clearing a
-   timer leaves a dead sleeper behind that still must bubble through the
+   timer leaves a dead entry behind that still must bubble through the
    heap.  The wheel stores entries in an array of slots instead:
 
      - [levels] wheels of [slots] slots each; level 0 has a granularity
@@ -20,7 +20,7 @@
    Virtual time makes the classic "tick thread" design wasteful: a
    thread ticking every granule would hold the scheduler hostage and
    inflate every run's end time.  Instead the wheel arms a single
-   *alarm*: a scheduler sleeper aimed at the earliest deadline it knows
+   *alarm*: a scheduler post aimed at the earliest deadline it knows
    about.  Inserting an earlier timer arms a new alarm; stale alarms
    wake, find nothing due, and exit.  When the last live entry fires or
    is cancelled no new alarm is armed, so a run can still terminate.
@@ -57,7 +57,7 @@ type stats = {
   mutable fires : int;
   mutable cancels : int;
   mutable cascades : int; (* entries moved down a level *)
-  mutable alarms : int; (* alarm threads forked *)
+  mutable alarms : int; (* alarms posted *)
 }
 
 type t = {
@@ -215,21 +215,20 @@ let next_alarm w =
     if !best = max_int then None else Some (!best lsl granularity_bits)
   end
 
-(* The alarm thread re-fetches the calling domain's wheel when it wakes:
-   it always runs on the domain that armed it (forked threads stay on
-   their scheduler's domain), so this is the same wheel it was armed
+(* The alarm re-fetches the calling domain's wheel when it comes due:
+   it always runs on the domain that armed it (posts stay on their
+   scheduler's domain), so this is the same wheel it was armed
    against. *)
 let rec arm w deadline =
   if deadline < w.armed_at then begin
     w.armed_at <- deadline;
     w.stats.alarms <- w.stats.alarms + 1;
     let epoch = w.epoch in
-    Scheduler.fork (fun () ->
-        Scheduler.sleep (max 0 (deadline - Scheduler.now ()));
+    Scheduler.at deadline (fun () ->
         let w = Domain.DLS.get wheel_key in
         if w.epoch = epoch then begin
           (* Handlers may start timers while we advance; claim the alarm
-             slot so they don't fork alarms we are about to supersede. *)
+             slot so they don't post alarms we are about to supersede. *)
           w.armed_at <- 0;
           advance w (Scheduler.now ());
           w.armed_at <- max_int;

@@ -5,7 +5,7 @@
     cancel are O(1); advancing costs one step per occupied slot crossed,
     with empty rounds skipped in a single jump.  Instead of a perpetual
     tick thread (which would pin the virtual clock and keep every run
-    alive), the wheel arms a single scheduler sleeper — an {e alarm} —
+    alive), the wheel posts a single scheduler wake-up — an {e alarm} —
     aimed at the earliest live deadline, so runs still terminate when
     all timers have fired or been cleared.
 

@@ -152,6 +152,140 @@ let sched_parallel_max =
       stats.end_time = List.fold_left max 0 sleeps)
 
 (* ------------------------------------------------------------------ *)
+(* Posts: after / at                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A post replaces the thread it stands for without moving any event:
+   a random schedule where some [fork (fun () -> sleep d; f ())] become
+   [after d f], and some forks that wait for an absolute time [t] (in
+   the past, now or ahead) become [at t f], runs every [f] in the same
+   order at the same time, with the same switch and sleep counts.
+   Delays and main-thread pauses are tiny so ties and zero delays are
+   common. *)
+let sched_posts_match_forks =
+  qtest ~count:300 "sched: after/at = the forks they replace"
+    QCheck2.Gen.(
+      list_size (int_range 0 25)
+        (triple (int_bound 4) (oneofl [ 0; 0; 0; 1; 3 ])
+           (oneofl [ `Fork; `After; `At ])))
+    (fun spec ->
+      let round ~posts =
+        let log = ref [] in
+        let stats =
+          Scheduler.run (fun () ->
+              List.iteri
+                (fun i (d, pause, kind) ->
+                  if pause > 0 then Scheduler.sleep pause;
+                  let f () =
+                    log := (i, Scheduler.now ()) :: !log;
+                    if i mod 3 = 0 then Scheduler.yield ()
+                  in
+                  let t = Scheduler.now () + d - 2 in
+                  match (kind, posts) with
+                  | `After, true -> Scheduler.after d f
+                  | `At, true -> Scheduler.at t f
+                  | `At, false ->
+                    Scheduler.fork (fun () ->
+                        let wait = t - Scheduler.now () in
+                        if wait > 0 then Scheduler.sleep wait;
+                        f ())
+                  | _ ->
+                    Scheduler.fork (fun () ->
+                        Scheduler.sleep d;
+                        f ()))
+                spec)
+        in
+        (List.rev !log, stats)
+      in
+      let log_a, a = round ~posts:false and log_b, b = round ~posts:true in
+      log_a = log_b && a.switches = b.switches && a.sleeps = b.sleeps
+      && a.end_time = b.end_time)
+
+let test_at_past_deadline_runs_at_its_step () =
+  let log = ref [] in
+  let push x = log := (x, Scheduler.now ()) :: !log in
+  let stats =
+    Scheduler.run (fun () ->
+        Scheduler.sleep 100;
+        Scheduler.fork (fun () -> push "before");
+        Scheduler.at 50 (fun () -> push "past");
+        Scheduler.at 100 (fun () -> push "now");
+        Scheduler.at 150 (fun () -> push "future");
+        Scheduler.fork (fun () -> push "after"))
+  in
+  Alcotest.(check (list (pair string int)))
+    "a due post starts at its own run-queue step"
+    [ ("before", 100); ("past", 100); ("now", 100); ("after", 100);
+      ("future", 150) ]
+    (List.rev !log);
+  Alcotest.(check int) "only the future post slept" 2 stats.sleeps
+
+let test_cleared_timer_spawns_nothing () =
+  let fired = ref 0 in
+  let round ~clear =
+    Scheduler.run (fun () ->
+        let t = Timer.start (fun () -> incr fired) 250 in
+        if clear then Timer.clear t)
+  in
+  let kept = round ~clear:false and cleared = round ~clear:true in
+  Alcotest.(check int) "armed timer fired" 1 !fired;
+  Alcotest.(check int) "main + the handler's thread" 2 kept.forks;
+  Alcotest.(check int) "a cleared timer creates no thread" 1 cleared.forks;
+  Alcotest.(check int) "both still end at the deadline" 250 cleared.end_time;
+  Alcotest.(check int) "same switches" kept.switches cleared.switches
+
+let test_stop_discards_pending_posts () =
+  let ran = ref 0 in
+  let stats =
+    Scheduler.run (fun () ->
+        Scheduler.after 1_000 (fun () -> incr ran);
+        Scheduler.at 2_000 (fun () -> incr ran);
+        ignore (Timer.start (fun () -> incr ran) 3_000);
+        Scheduler.fork (fun () ->
+            Scheduler.sleep 10;
+            ignore (Scheduler.stop ())))
+  in
+  Alcotest.(check int) "no post ran after stop" 0 !ran;
+  Alcotest.(check int) "stopped at once" 10 stats.end_time;
+  Alcotest.(check int) "pending posts are not blocked threads" 0
+    stats.blocked
+
+let test_after_with_advance () =
+  let log = ref [] in
+  let push x = log := (x, Scheduler.now ()) :: !log in
+  let _ =
+    Scheduler.run (fun () ->
+        (* processed before the jump: due at 100, released by it *)
+        Scheduler.after 100 (fun () -> push "inside");
+        Scheduler.yield ();
+        Scheduler.advance 1_000;
+        (* processed after the jump: relative to the new clock *)
+        Scheduler.after 100 (fun () -> push "relative");
+        Scheduler.at 500 (fun () -> push "absolute, passed");
+        Scheduler.at 1_050 (fun () -> push "absolute, ahead"))
+  in
+  Alcotest.(check (list (pair string int)))
+    "posts and the clock jump"
+    [ ("absolute, passed", 1_000); ("inside", 1_000);
+      ("absolute, ahead", 1_050); ("relative", 1_100) ]
+    (List.rev !log)
+
+(* The wheel's alarm is an absolute post: a timer armed just before a
+   clock jump fires when the jump lands, not a jump late. *)
+let test_wheel_alarm_across_advance () =
+  let fired_at = ref (-1) in
+  let saved = !Timer.use_wheel in
+  Timer.use_wheel := true;
+  Fun.protect
+    ~finally:(fun () -> Timer.use_wheel := saved)
+    (fun () ->
+      ignore
+        (Scheduler.run (fun () ->
+             ignore (Timer.start (fun () -> fired_at := Scheduler.now ()) 2_000);
+             Scheduler.advance 10_000)));
+  Alcotest.(check int) "fired as the jump landed" 10_000 !fired_at
+
+(* ------------------------------------------------------------------ *)
 (* Realtime mode and the idle hook                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -218,6 +352,29 @@ let test_idle_hook_sees_time_to_next_timer () =
     Alcotest.(check bool) "until reflects the sleeper" true (us <= 5_000)
   | _ -> Alcotest.fail "idle hook did not see the pending timer"
 
+(* A realtime run whose only outstanding work is a timer must keep
+   calling the idle hook (a device poll, in a TAP run) until the timer
+   is due, rather than sleeping past the device. *)
+let test_realtime_idle_polls_with_only_a_timer () =
+  let fired_at = ref (-1) in
+  let untils = ref [] in
+  let stats =
+    Scheduler.run ~realtime:true
+      ~idle:(fun until ->
+        untils := until :: !untils;
+        Option.iter (fun us -> Unix.sleepf (float_of_int us /. 1e6)) until)
+      (fun () ->
+        ignore (Timer.start (fun () -> fired_at := Scheduler.now ()) 20_000))
+  in
+  Alcotest.(check bool) "timer fired on time" true (!fired_at >= 20_000);
+  match List.rev !untils with
+  | Some first :: _ ->
+    Alcotest.(check bool) "first poll waits at most until the timer" true
+      (first > 0 && first <= 20_000);
+    Alcotest.(check bool) "run ended after the timer" true
+      (stats.end_time >= 20_000)
+  | _ -> Alcotest.fail "idle hook not polled while the timer was pending"
+
 (* ------------------------------------------------------------------ *)
 (* Timer                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -253,8 +410,9 @@ let test_timer_clear_after_expiry_harmless () =
   Alcotest.(check int) "fired once" 1 !fired
 
 let test_timer_clear_race_same_instant () =
-  (* Clearing at exactly the expiry time: the sleeping thread wakes after the
-     main thread (fork order), so the clear wins deterministically. *)
+  (* Clearing at exactly the expiry time: the timer's post enters the
+     sleep queue at its own step, after the main thread's sleep (fork
+     order), so the clear wins deterministically. *)
   let fired = ref false in
   let _ =
     Scheduler.run (fun () ->
@@ -422,6 +580,19 @@ let () =
           sched_sleep_sum;
           sched_parallel_max;
         ] );
+      ( "post",
+        [
+          sched_posts_match_forks;
+          Alcotest.test_case "at past deadline" `Quick
+            test_at_past_deadline_runs_at_its_step;
+          Alcotest.test_case "cleared timer spawns nothing" `Quick
+            test_cleared_timer_spawns_nothing;
+          Alcotest.test_case "stop with posts pending" `Quick
+            test_stop_discards_pending_posts;
+          Alcotest.test_case "advance" `Quick test_after_with_advance;
+          Alcotest.test_case "wheel alarm across advance" `Quick
+            test_wheel_alarm_across_advance;
+        ] );
       ( "realtime",
         [
           Alcotest.test_case "realtime sleep" `Quick
@@ -431,6 +602,8 @@ let () =
           Alcotest.test_case "idle hook injects" `Quick test_idle_hook_injects_work;
           Alcotest.test_case "idle hook timeout arg" `Quick
             test_idle_hook_sees_time_to_next_timer;
+          Alcotest.test_case "idle hook polls with only a timer" `Quick
+            test_realtime_idle_polls_with_only_a_timer;
         ] );
       ( "timer",
         [
