@@ -1275,7 +1275,10 @@ end = struct
       drain conn
     end
 
-  let receive t lconn packet =
+  (* [peer] is [Aux.to_string] of the lower connection's source, the
+     first component of every demux key: formatted once per lower
+     connection by [lower_handler], not once per segment. *)
+  let receive t lconn peer packet =
     let now = Fox_sched.Scheduler.now () in
     let pseudo =
       if Params.compute_checksums then
@@ -1292,7 +1295,7 @@ end = struct
       let host = Aux.source lconn in
       match
         Hashtbl.find_opt t.conns
-          (key host hdr.Tcp_header.dst_port hdr.Tcp_header.src_port)
+          (peer, hdr.Tcp_header.dst_port, hdr.Tcp_header.src_port)
       with
       | Some conn when not conn.dead ->
         if
@@ -1343,6 +1346,10 @@ end = struct
 
   (* ---------------- lower-layer sessions ---------------- *)
 
+  let lower_handler t lconn =
+    let peer = Aux.to_string (Aux.source lconn) in
+    ((fun packet -> receive t lconn peer packet), ignore)
+
   let lower_conn_for t host =
     let k = Aux.to_string host in
     match Hashtbl.find_opt t.lower_conns k with
@@ -1351,7 +1358,7 @@ end = struct
       let lconn =
         Lower.connect t.lower_instance
           (Aux.lower_address ~proto:proto_number host)
-          (fun lconn -> ((fun packet -> receive t lconn packet), ignore))
+          (lower_handler t)
       in
       Hashtbl.replace t.lower_conns k lconn;
       lconn
@@ -1616,7 +1623,7 @@ end = struct
     ignore
       (Lower.start_passive lower
          (Aux.default_pattern ~proto:proto_number)
-         (fun lconn -> ((fun packet -> receive t lconn packet), ignore)));
+         (lower_handler t));
     (* engine-level counters on the bus, alongside the per-connection
        snapshots: this is where the overload policy's refusals show up
        even when the refused connection never existed *)
