@@ -819,9 +819,9 @@ let time_cpu f =
    (every segment restarts the retransmission timer: start + clear, with
    a standing population of armed timers behind it) and mass expiry
    (every parked TIME-WAIT and delayed-ACK deadline actually firing).
-   Under the Figure 11 backend each armed timer is its own sleeping
-   thread, so even a cleared timer costs a wakeup at its deadline; the
-   wheel shares one sleeper across all of them. *)
+   Under the Figure 11 backend each armed timer is its own sleep-heap
+   entry, so even a cleared timer costs a heap pop at its deadline; the
+   wheel shares one alarm across all of them. *)
 let timer_backend ~wheel ~live ~churn =
   let saved = !Fox_sched.Timer.use_wheel in
   Fox_sched.Timer.use_wheel := wheel;
@@ -867,7 +867,7 @@ let bench_soak () =
   let wheel_churn, wheel_fire = timer_backend ~wheel:true ~live ~churn in
   let per_op s n = s /. float_of_int n *. 1e9 in
   Printf.printf "  %-28s %14s %14s\n" "backend" "churn ns/op" "fire ns/timer";
-  Printf.printf "  %-28s %14.0f %14.0f\n" "heap (Figure 11 threads)"
+  Printf.printf "  %-28s %14.0f %14.0f\n" "heap (Figure 11)"
     (per_op heap_churn churn) (per_op heap_fire live);
   Printf.printf "  %-28s %14.0f %14.0f\n" "hierarchical wheel"
     (per_op wheel_churn churn) (per_op wheel_fire live);
