@@ -183,88 +183,27 @@ let microbenchmarks () =
   print_group container_tests
 
 (* ------------------------------------------------------------------ *)
-(* Table 1                                                            *)
+(* Tables 1 and 2                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let table1 () =
   section "Table 1: Speed Comparison of TCP Implementations";
-  Printf.printf
-    "1 MB one-way transfer, 4096-byte window, simulated isolated 10 Mb/s\n\
-     Ethernet, DECstation cost models (see lib/fox_stack/cost_model.ml).\n\n";
-  let fox_tp, fox_rtt, base_tp, base_rtt = Experiments.table1 () in
-  let open Experiments in
-  Printf.printf "%-22s %10s %10s %8s %22s\n" "" "Fox Net" "x-kernel" "ratio"
-    "(paper: fox/xk/ratio)";
-  Printf.printf "%-22s %10.2f %10.2f %8.2f %22s\n" "Throughput (Mb/s)"
-    fox_tp.throughput_mbps base_tp.throughput_mbps
-    (fox_tp.throughput_mbps /. base_tp.throughput_mbps)
-    "(0.6 / 2.5 / 0.24)";
-  Printf.printf "%-22s %10.1f %10.1f %8.1f %22s\n" "Round-Trip (ms)"
-    (float_of_int fox_rtt.mean_rtt_us /. 1000.)
-    (float_of_int base_rtt.mean_rtt_us /. 1000.)
-    (float_of_int fox_rtt.mean_rtt_us /. float_of_int base_rtt.mean_rtt_us)
-    "(36 / 4.9 / 9.4)";
-  Printf.printf
-    "\nfox: %d sender segments, %d retransmissions, %.2f s elapsed (virtual)\n"
-    fox_tp.sender_segments fox_tp.retransmissions
-    (float_of_int fox_tp.elapsed_us /. 1e6);
-  Printf.printf "x-kernel-like: %d sender segments, %d retransmissions, %.2f s\n"
-    base_tp.sender_segments base_tp.retransmissions
-    (float_of_int base_tp.elapsed_us /. 1e6)
-
-(* ------------------------------------------------------------------ *)
-(* Table 2                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let paper_table2 =
-  [
-    ("TCP", (29.0, 27.5));
-    ("IP", (7.8, 9.7));
-    ("eth, Mach interf.", (11.2, 11.9));
-    ("copy", (10.5, 6.3));
-    ("checksum", (5.1, 5.6));
-    ("Mach send", (7.5, 6.0));
-    ("packet wait", (15.8, 9.3));
-    ("g. c.", (3.4, 5.0));
-    ("misc.", (4.7, 7.3));
-    ("counters (est.)", (5.2, 5.4));
-  ]
+  Experiments.print_table1 ()
 
 let table2 () =
   section "Table 2: Execution Profile (Percent of Total Time)";
-  let result, sender, receiver = Experiments.table2 () in
-  Printf.printf
-    "1 MB fox transfer under the cost model (%.2f s virtual); percentages\n\
-     of each host's accounted busy time, as in the paper.\n\n"
-    (float_of_int result.Experiments.elapsed_us /. 1e6);
-  Printf.printf "%-22s %8s %9s %9s %9s\n" "component" "Sender" "Receiver"
-    "(paper S" "paper R)";
-  let find profile name =
-    match List.find_opt (fun (n, _, _) -> n = name) profile with
-    | Some (_, pct, _) -> pct
-    | None -> 0.0
-  in
-  List.iter
-    (fun (name, (ps, pr)) ->
-      Printf.printf "%-22s %8.1f %9.1f %9.1f %9.1f\n" name (find sender name)
-        (find receiver name) ps pr)
-    paper_table2;
-  let total p = List.fold_left (fun acc (_, pct, _) -> acc +. pct) 0.0 p in
-  Printf.printf "%-22s %8.1f %9.1f %9.1f %9.1f\n" "total" (total sender)
-    (total receiver) 100.2 94.0
+  Experiments.print_table2 ()
 
 (* ------------------------------------------------------------------ *)
 (* GC behaviour (inline-5)                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Section 5's transfer over the standard structured TCP. *)
+let fox_transfer = Experiments.variant_transfer (module Stack.Tcp)
+
 let gc_experiment () =
   section "GC behaviour: short vs long runs (paper: >5 MB runs no slower)";
-  let run bytes =
-    let _, sender, receiver =
-      Network.pair ~engine:Network.Fox ~cost:Cost_model.fox ()
-    in
-    Experiments.Fox_run.transfer ~sender ~receiver ~bytes ()
-  in
+  let run bytes = fox_transfer ~cost:Cost_model.fox ~bytes () in
   let small = run 1_000_000 in
   let large = run 8_000_000 in
   let open Experiments in
@@ -286,142 +225,27 @@ let gc_experiment () =
 (* Ablations                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Every TCP variant produced by the functors matches this slice of the
-   protocol signature (record declarations match structurally), so one
-   adapter functor serves the whole ablation matrix. *)
-module type TCPISH = sig
-  type t
-
-  type connection
-
-  type listener
-
-  type address = { peer : Ipv4_addr.t; port : int; local_port : int option }
-
-  type pattern = { local_port : int }
-
-  type data_handler = Packet.t -> unit
-
-  type status_handler = Fox_proto.Status.t -> unit
-
-  type handler = connection -> data_handler * status_handler
-
-  val start_passive : t -> pattern -> handler -> listener
-
-  val connect : t -> address -> handler -> connection
-
-  val allocate_send : connection -> int -> Packet.t
-
-  val send : connection -> Packet.t -> unit
-
-  val max_packet_size : connection -> int
-end
-
-type 'c ops = {
-  listen : port:int -> ('c -> Packet.t -> unit) -> unit;
-  connect : peer:Ipv4_addr.t -> port:int -> handler:(Packet.t -> unit) -> 'c;
-  allocate : 'c -> int -> Packet.t;
-  send : 'c -> Packet.t -> unit;
-  mss : 'c -> int;
-}
-
-module Ops (T : TCPISH) = struct
-  let ops (t : T.t) : T.connection ops =
-    {
-      listen =
-        (fun ~port handler ->
-          ignore
-            (T.start_passive t { T.local_port = port } (fun conn ->
-                 (handler conn, ignore))));
-      connect =
-        (fun ~peer ~port ~handler ->
-          T.connect t { T.peer; port; local_port = None } (fun _ ->
-              (handler, ignore)));
-      allocate = T.allocate_send;
-      send = T.send;
-      mss = T.max_packet_size;
-    }
-end
-
-module Fox_ops = Ops (Stack.Tcp)
-module Baseline_ops = Ops (Stack.Baseline_tcp)
-module No_delack_ops = Ops (Stack.Tcp_no_delayed_ack)
-module Basic_ck_ops = Ops (Stack.Tcp_basic_checksum)
-module No_ck_ops = Ops (Stack.Tcp_no_checksums)
-module Prio_ops = Ops (Stack.Tcp_prioritized)
-module No_pred_ops = Ops (Stack.Tcp_no_prediction)
-module W1024_ops = Ops (Stack.Tcp_w1024)
-module W2048_ops = Ops (Stack.Tcp_w2048)
-module W8192_ops = Ops (Stack.Tcp_w8192)
-module W16384_ops = Ops (Stack.Tcp_w16384)
-
-let generic_transfer sender_ops receiver_ops ~sender_addr ~bytes =
-  let port = 5001 in
-  sender_ops.listen ~port (fun conn request ->
-      if Packet.length request >= 8 then begin
-        let wanted = Packet.get_u32 request 4 in
-        Scheduler.fork (fun () ->
-            let mss = sender_ops.mss conn in
-            let sent = ref 0 in
-            while !sent < wanted do
-              let n = min mss (wanted - !sent) in
-              let p = sender_ops.allocate conn n in
-              sender_ops.send conn p;
-              sent := !sent + n
-            done)
-      end);
-  let received = ref 0 and t0 = ref 0 and t1 = ref 0 in
-  let wall0 = Sys.time () in
-  let _ =
-    Scheduler.run (fun () ->
-        let conn =
-          receiver_ops.connect ~peer:sender_addr ~port ~handler:(fun packet ->
-              received := !received + Packet.length packet;
-              if !received >= bytes then t1 := Scheduler.now ())
-        in
-        t0 := Scheduler.now ();
-        let request = receiver_ops.allocate conn 8 in
-        Packet.set_u32 request 0 0xF0C5F0C5;
-        Packet.set_u32 request 4 bytes;
-        receiver_ops.send conn request)
-  in
-  let wall = Sys.time () -. wall0 in
-  assert (!received >= bytes);
-  (!t1 - !t0, wall)
+let ms us = float_of_int us /. 1000.
 
 let ablation_control_structure () =
   section "Ablation A: control structure (quasi-synchronous vs direct calls)";
   Printf.printf
     "Real CPU seconds this machine spends simulating a 4 MB transfer on a\n\
      gigabit wire (no cost model): measures the engines' own bookkeeping.\n\n";
-  let bytes = 4_000_000 in
-  let fox =
-    let _, a, b = Network.pair ~engine:Network.Fox ~netem:Fox_dev.Netem.gigabit () in
-    let virt, wall =
-      generic_transfer
-        (Fox_ops.ops (Network.fox_tcp a))
-        (Fox_ops.ops (Network.fox_tcp b))
-        ~sender_addr:a.Network.addr ~bytes
-    in
-    Printf.printf "  %-28s %8.3f s CPU   (virtual: %8.1f ms)\n"
-      "structured (to_do queue)" wall
-      (float_of_int virt /. 1000.);
-    wall
+  let bytes = 4_000_000 and netem = Fox_dev.Netem.gigabit in
+  let row label (r : Experiments.transfer_result) =
+    Printf.printf "  %-28s %8.3f s CPU   (virtual: %8.1f ms)\n" label
+      r.Experiments.cpu_s (ms r.Experiments.elapsed_us);
+    r.Experiments.cpu_s
   in
+  let fox = row "structured (to_do queue)" (fox_transfer ~netem ~bytes ()) in
   let base =
-    let _, a, b =
-      Network.pair ~engine:Network.Baseline ~netem:Fox_dev.Netem.gigabit ()
-    in
-    let virt, wall =
-      generic_transfer
-        (Baseline_ops.ops (Network.baseline_tcp a))
-        (Baseline_ops.ops (Network.baseline_tcp b))
-        ~sender_addr:a.Network.addr ~bytes
-    in
-    Printf.printf "  %-28s %8.3f s CPU   (virtual: %8.1f ms)\n"
-      "monolithic (direct calls)" wall
-      (float_of_int virt /. 1000.);
-    wall
+    let _, a, b = Network.pair ~engine:Network.Baseline ~netem () in
+    row "monolithic (direct calls)"
+      (Experiments.Baseline_run.transfer
+         ~sender:(a, Network.baseline_tcp a)
+         ~receiver:(b, Network.baseline_tcp b)
+         ~bytes ())
   in
   Printf.printf
     "\n  structured/monolithic CPU ratio: %.2f (the engine-side price of the\n\
@@ -433,55 +257,35 @@ let ablation_checksums () =
   Printf.printf
     "2 MB transfer on a gigabit wire; the checksum is the main data-touching\n\
      operation left once copies are minimised (cf. Figure 10).\n\n";
-  let bytes = 2_000_000 in
-  let fox_default () =
-    let _, a, b = Network.pair ~engine:Network.Fox ~netem:Fox_dev.Netem.gigabit () in
-    snd
-      (generic_transfer
-         (Fox_ops.ops (Network.fox_tcp a))
-         (Fox_ops.ops (Network.fox_tcp b))
-         ~sender_addr:a.Network.addr ~bytes)
-  in
-  let with_variant create ops =
-    let _, a, b = Network.pair ~engine:Network.Bare ~netem:Fox_dev.Netem.gigabit () in
-    let ta = create a.Network.metered_ip and tb = create b.Network.metered_ip in
-    snd (generic_transfer (ops ta) (ops tb) ~sender_addr:a.Network.addr ~bytes)
-  in
-  Printf.printf "  %-38s %8.3f s CPU\n" "optimized checksum (Figure 10)"
-    (fox_default ());
-  Printf.printf "  %-38s %8.3f s CPU\n" "basic checksum (x-kernel loop)"
-    (with_variant Stack.Tcp_basic_checksum.create Basic_ck_ops.ops);
-  Printf.printf "  %-38s %8.3f s CPU\n" "checksums off (Special_Tcp, trust CRC)"
-    (with_variant Stack.Tcp_no_checksums.create No_ck_ops.ops)
+  List.iter
+    (fun (label, variant) ->
+      let r =
+        Experiments.variant_transfer variant ~netem:Fox_dev.Netem.gigabit
+          ~bytes:2_000_000 ()
+      in
+      Printf.printf "  %-38s %8.3f s CPU\n" label r.Experiments.cpu_s)
+    [
+      ( "optimized checksum (Figure 10)",
+        (module Stack.Tcp : Experiments.STRUCTURED) );
+      ("basic checksum (x-kernel loop)", (module Stack.Tcp_basic_checksum));
+      ( "checksums off (Special_Tcp, trust CRC)",
+        (module Stack.Tcp_no_checksums) );
+    ]
 
 let ablation_delayed_ack () =
   section "Ablation C: delayed acknowledgements";
   Printf.printf
     "1 MB transfer on the 10 Mb/s wire (no cost model): delayed ACKs halve\n\
      the reverse traffic at the price of occasional 200 ms holdoffs.\n\n";
-  let bytes = 1_000_000 in
-  (let _, a, b = Network.pair ~engine:Network.Fox () in
-   let elapsed, _ =
-     generic_transfer
-       (Fox_ops.ops (Network.fox_tcp a))
-       (Fox_ops.ops (Network.fox_tcp b))
-       ~sender_addr:a.Network.addr ~bytes
-   in
-   Printf.printf "  %-26s elapsed %8.1f ms   receiver segments %6d\n"
-     "delayed ACK (200 ms)"
-     (float_of_int elapsed /. 1000.)
-     (Stack.Tcp.stats (Network.fox_tcp b)).Fox_tcp.Tcp.segs_out);
-  let _, a, b = Network.pair ~engine:Network.Bare () in
-  let ta = Stack.Tcp_no_delayed_ack.create a.Network.metered_ip in
-  let tb = Stack.Tcp_no_delayed_ack.create b.Network.metered_ip in
-  let elapsed, _ =
-    generic_transfer (No_delack_ops.ops ta) (No_delack_ops.ops tb)
-      ~sender_addr:a.Network.addr ~bytes
-  in
-  Printf.printf "  %-26s elapsed %8.1f ms   receiver segments %6d\n"
-    "immediate ACK"
-    (float_of_int elapsed /. 1000.)
-    (Stack.Tcp_no_delayed_ack.stats tb).Fox_tcp.Tcp.segs_out
+  List.iter
+    (fun (label, variant) ->
+      let r = Experiments.variant_transfer variant ~bytes:1_000_000 () in
+      Printf.printf "  %-26s elapsed %8.1f ms   receiver segments %6d\n" label
+        (ms r.Experiments.elapsed_us) r.Experiments.receiver_segments)
+    [
+      ("delayed ACK (200 ms)", (module Stack.Tcp : Experiments.STRUCTURED));
+      ("immediate ACK", (module Stack.Tcp_no_delayed_ack));
+    ]
 
 (* The window is a functor parameter (Figure 4), so the sweep is five
    separate functor applications of the same TCP — a figure the paper
@@ -491,72 +295,29 @@ let window_sweep () =
   Printf.printf
     "500 KB fox transfer; the window bounds data in flight, so throughput\n\
      climbs until processing, not the window, is the bottleneck.\n\n";
-  let bytes = 500_000 in
-  let run_one window create ops =
-    let _, a, b =
-      Network.pair ~engine:Network.Bare ~cost:Cost_model.fox ()
-    in
-    let ta = create a.Network.metered_ip and tb = create b.Network.metered_ip in
-    let elapsed, _ =
-      generic_transfer (ops ta) (ops tb) ~sender_addr:a.Network.addr ~bytes
-    in
-    let mbps = float_of_int (bytes * 8) /. float_of_int elapsed in
-    Printf.printf "  window %6d B   %8.3f Mb/s   %s\n" window mbps
-      (String.make (int_of_float (mbps *. 40.)) '#')
-  in
-  run_one 1024 Stack.Tcp_w1024.create W1024_ops.ops;
-  run_one 2048 Stack.Tcp_w2048.create W2048_ops.ops;
-  (let _, a, b = Network.pair ~engine:Network.Fox ~cost:Cost_model.fox () in
-   let elapsed, _ =
-     generic_transfer
-       (Fox_ops.ops (Network.fox_tcp a))
-       (Fox_ops.ops (Network.fox_tcp b))
-       ~sender_addr:a.Network.addr ~bytes
-   in
-   let mbps = float_of_int (bytes * 8) /. float_of_int elapsed in
-   Printf.printf "  window %6d B   %8.3f Mb/s   %s   (paper's setting)\n" 4096
-     mbps
-     (String.make (int_of_float (mbps *. 40.)) '#'));
-  run_one 8192 Stack.Tcp_w8192.create W8192_ops.ops;
-  run_one 16384 Stack.Tcp_w16384.create W16384_ops.ops
+  List.iter
+    (fun (window, variant, note) ->
+      let r =
+        Experiments.variant_transfer variant ~cost:Cost_model.fox
+          ~bytes:500_000 ()
+      in
+      let mbps = r.Experiments.throughput_mbps in
+      Printf.printf "  window %6d B   %8.3f Mb/s   %s%s\n" window mbps
+        (String.make (int_of_float (mbps *. 40.)) '#')
+        note)
+    [
+      (1024, (module Stack.Tcp_w1024 : Experiments.STRUCTURED), "");
+      (2048, (module Stack.Tcp_w2048), "");
+      (4096, (module Stack.Tcp), "   (paper's setting)");
+      (8192, (module Stack.Tcp_w8192), "");
+      (16384, (module Stack.Tcp_w16384), "");
+    ]
 
-(* Like generic_transfer, but the receiving application is slow: each
-   delivery charges [app_us] of CPU inside the User_data upcall — i.e.
-   inside the drain loop.  With the FIFO queue the outgoing ACK (queued
-   after the User_data action) waits behind that processing; the priority
-   queue sends it first, so the sender's window opens sooner. *)
-let transfer_with_slow_app sender_ops receiver_ops ~sender_addr
-    ~(receiver : Network.host) ~app_us ~bytes =
-  let port = 5002 in
-  sender_ops.listen ~port (fun conn request ->
-      if Packet.length request >= 8 then begin
-        let wanted = Packet.get_u32 request 4 in
-        Scheduler.fork (fun () ->
-            let mss = sender_ops.mss conn in
-            let sent = ref 0 in
-            while !sent < wanted do
-              let n = min mss (wanted - !sent) in
-              sender_ops.send conn (sender_ops.allocate conn n);
-              sent := !sent + n
-            done)
-      end);
-  let received = ref 0 and t0 = ref 0 and t1 = ref 0 in
-  let _ =
-    Scheduler.run (fun () ->
-        let conn =
-          receiver_ops.connect ~peer:sender_addr ~port ~handler:(fun packet ->
-              Fox_sched.Cpu.charge receiver.Network.cpu "application" app_us;
-              received := !received + Packet.length packet;
-              if !received >= bytes then t1 := Scheduler.now ())
-        in
-        t0 := Scheduler.now ();
-        let request = receiver_ops.allocate conn 8 in
-        Packet.set_u32 request 4 bytes;
-        receiver_ops.send conn request)
-  in
-  assert (!received >= bytes);
-  !t1 - !t0
-
+(* The receiving application is slow: each delivery charges [app_us] of
+   CPU inside the User_data upcall — i.e. inside the drain loop.  With
+   the FIFO queue the outgoing ACK (queued after the User_data action)
+   waits behind that processing; the priority queue sends it first, so
+   the sender's window opens sooner. *)
 let ablation_priority () =
   section "Ablation D: priority to_do queue (the paper's suggested refinement)";
   Printf.printf
@@ -565,25 +326,17 @@ let ablation_priority () =
      be executed with higher priority.\"  500 KB to a slow application that\n\
      burns 4 ms of CPU per delivered segment, inside the upcall: with the\n\
      FIFO the ACK queued behind each User_data action waits for the app.\n\n";
-  let bytes = 500_000 and app_us = 4_000 in
-  (let _, a, b = Network.pair ~engine:Network.Fox () in
-   let elapsed =
-     transfer_with_slow_app
-       (Fox_ops.ops (Network.fox_tcp a))
-       (Fox_ops.ops (Network.fox_tcp b))
-       ~sender_addr:a.Network.addr ~receiver:b ~app_us ~bytes
-   in
-   Printf.printf "  %-26s elapsed %8.2f s (virtual)\n" "FIFO to_do queue"
-     (float_of_int elapsed /. 1e6));
-  let _, a, b = Network.pair ~engine:Network.Bare () in
-  let ta = Stack.Tcp_prioritized.create a.Network.metered_ip in
-  let tb = Stack.Tcp_prioritized.create b.Network.metered_ip in
-  let elapsed =
-    transfer_with_slow_app (Prio_ops.ops ta) (Prio_ops.ops tb)
-      ~sender_addr:a.Network.addr ~receiver:b ~app_us ~bytes
-  in
-  Printf.printf "  %-26s elapsed %8.2f s (virtual)\n" "priority to_do queue"
-    (float_of_int elapsed /. 1e6)
+  List.iter
+    (fun (label, variant) ->
+      let r =
+        Experiments.variant_transfer variant ~app_us:4_000 ~bytes:500_000 ()
+      in
+      Printf.printf "  %-26s elapsed %8.2f s (virtual)\n" label
+        (float_of_int r.Experiments.elapsed_us /. 1e6))
+    [
+      ("FIFO to_do queue", (module Stack.Tcp : Experiments.STRUCTURED));
+      ("priority to_do queue", (module Stack.Tcp_prioritized));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Fast-path ablation: header prediction × fused checksum × buffer pool *)
@@ -625,27 +378,15 @@ let fastpath_config ~prediction ~fused ~pool =
       and s0 = !Checksum.bytes_summed
       and f0 = !Copy.bytes_fused in
       let g0 = Gc.minor_words () in
-      let _, a, b =
-        Network.pair ~engine:Network.Bare ~netem:Fox_dev.Netem.gigabit ()
+      let variant =
+        if prediction then (module Stack.Tcp : Experiments.STRUCTURED)
+        else (module Stack.Tcp_no_prediction)
       in
-      let segs =
-        if prediction then begin
-          let ta = Stack.Tcp.create a.Network.metered_ip
-          and tb = Stack.Tcp.create b.Network.metered_ip in
-          ignore
-            (generic_transfer (Fox_ops.ops ta) (Fox_ops.ops tb)
-               ~sender_addr:a.Network.addr ~bytes);
-          (Stack.Tcp.stats ta).Fox_tcp.Tcp.segs_out
-        end
-        else begin
-          let ta = Stack.Tcp_no_prediction.create a.Network.metered_ip
-          and tb = Stack.Tcp_no_prediction.create b.Network.metered_ip in
-          ignore
-            (generic_transfer (No_pred_ops.ops ta) (No_pred_ops.ops tb)
-               ~sender_addr:a.Network.addr ~bytes);
-          (Stack.Tcp_no_prediction.stats ta).Fox_tcp.Tcp.segs_out
-        end
+      let r =
+        Experiments.variant_transfer variant ~netem:Fox_dev.Netem.gigabit
+          ~bytes ()
       in
+      let segs = r.Experiments.sender_segments in
       let touched =
         !Packet.bytes_copied - c0 + (!Checksum.bytes_summed - s0)
         + (!Copy.bytes_fused - f0)
@@ -703,26 +444,22 @@ let ablation_fastpath () =
     "\n  fused copy-and-checksum: %.1f %% fewer payload-byte touches\n\
     \  buffer pooling:          %.1f %% less minor allocation per segment\n"
     fusion_reduction pool_alloc_reduction;
-  let oc = open_out "BENCH_pr4.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"pr4_zero_copy_fastpath\",\n  \"bytes\": 2000000,\n\
-    \  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"prediction\": %b, \"fused\": %b, \"pool\": %b, \
-         \"touches_per_byte\": %.4f, \"minor_words_per_segment\": %.1f, \
-         \"segments\": %d}%s\n"
-        r.fp_prediction r.fp_fused r.fp_pool r.fp_touch_per_byte
-        r.fp_minor_words_per_seg r.fp_segs
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc
-    "  ],\n  \"fusion_touch_reduction_percent\": %.2f,\n\
-    \  \"pool_alloc_reduction_percent\": %.2f\n}\n"
-    fusion_reduction pool_alloc_reduction;
-  close_out oc;
-  print_endline "\nwrote BENCH_pr4.json"
+  let row r =
+    Json.(
+      Obj
+        [ ("prediction", Bool r.fp_prediction); ("fused", Bool r.fp_fused);
+          ("pool", Bool r.fp_pool);
+          ("touches_per_byte", Float (4, r.fp_touch_per_byte));
+          ("minor_words_per_segment", Float (1, r.fp_minor_words_per_seg));
+          ("segments", Int r.fp_segs) ])
+  in
+  Json.write "BENCH_pr4.json"
+    Json.(
+      Obj
+        [ ("bench", String "pr4_zero_copy_fastpath"); ("bytes", Int 2_000_000);
+          ("rows", List (List.map row rows));
+          ("fusion_touch_reduction_percent", Float (2, fusion_reduction));
+          ("pool_alloc_reduction_percent", Float (2, pool_alloc_reduction)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Standing end-to-end headline (BENCH_table1.json)                   *)
@@ -744,18 +481,7 @@ let modern_transfer ~bytes =
       Packet.pool_enabled := false;
       Packet.pool_reset ();
       Fox_sched.Timer.use_wheel := saved_wheel)
-    (fun () ->
-      let _, a, b =
-        Network.pair ~engine:Network.Bare ~netem:Fox_dev.Netem.gigabit ()
-      in
-      let ta = Stack.Tcp.create a.Network.metered_ip
-      and tb = Stack.Tcp.create b.Network.metered_ip in
-      let virt_us, wall_s =
-        generic_transfer (Fox_ops.ops ta) (Fox_ops.ops tb)
-          ~sender_addr:a.Network.addr ~bytes
-      in
-      let st = Stack.Tcp.stats ta in
-      (virt_us, wall_s, st.Fox_tcp.Tcp.segs_out))
+    (fun () -> fox_transfer ~netem:Fox_dev.Netem.gigabit ~bytes ())
 
 let table1_headline () =
   section "Standing headline: paper Table 1 transfer + modern transfer";
@@ -768,43 +494,31 @@ let table1_headline () =
     fox_tp.throughput_mbps
     (float_of_int fox_tp.elapsed_us /. 1e6)
     fox_tp.sender_segments fox_tp.retransmissions base_tp.throughput_mbps;
-  let modern_bytes = 1_000_000_000 in
-  let virt_us, wall_s, segs = modern_transfer ~bytes:modern_bytes in
-  let modern_mbps =
-    float_of_int modern_bytes *. 8.0 /. float_of_int virt_us
-  in
+  let modern = modern_transfer ~bytes:1_000_000_000 in
   Printf.printf
     "modern (1 GB, gigabit wire, fastpath+wheel+pool): %.1f Mb/s over\n\
      %.3f s virtual (%d segments, %.1f s wall)\n"
-    modern_mbps
-    (float_of_int virt_us /. 1e6)
-    segs wall_s;
-  let oc = open_out "BENCH_table1.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"table1_headline\",\n\
-    \  \"paper_1mb\": {\n\
-    \    \"mbps\": %.3f,\n\
-    \    \"elapsed_virtual_s\": %.3f,\n\
-    \    \"segments\": %d,\n\
-    \    \"retransmissions\": %d,\n\
-    \    \"baseline_mbps\": %.3f\n\
-    \  },\n\
-    \  \"modern_1gb\": {\n\
-    \    \"mbps\": %.1f,\n\
-    \    \"elapsed_virtual_s\": %.3f,\n\
-    \    \"segments\": %d,\n\
-    \    \"wall_s\": %.1f\n\
-    \  }\n\
-     }\n"
-    fox_tp.throughput_mbps
-    (float_of_int fox_tp.elapsed_us /. 1e6)
-    fox_tp.sender_segments fox_tp.retransmissions base_tp.throughput_mbps
-    modern_mbps
-    (float_of_int virt_us /. 1e6)
-    segs wall_s;
-  close_out oc;
-  print_endline "\nwrote BENCH_table1.json"
+    modern.throughput_mbps
+    (float_of_int modern.elapsed_us /. 1e6)
+    modern.sender_segments modern.cpu_s;
+  let run ~mbps r =
+    Json.
+      [ ("mbps", Float (mbps, r.throughput_mbps));
+        ("elapsed_virtual_s", Float (3, float_of_int r.elapsed_us /. 1e6));
+        ("segments", Int r.sender_segments) ]
+  in
+  Json.write "BENCH_table1.json"
+    Json.(
+      Obj
+        [ ("bench", String "table1_headline");
+          ( "paper_1mb",
+            Obj
+              (run ~mbps:3 fox_tp
+              @ [ ("retransmissions", Int fox_tp.retransmissions);
+                  ("baseline_mbps", Float (3, base_tp.throughput_mbps)) ]) );
+          ( "modern_1gb",
+            Obj (run ~mbps:1 modern @ [ ("wall_s", Float (1, modern.cpu_s)) ])
+          ) ])
 
 (* ------------------------------------------------------------------ *)
 (* Overload survival: timer backends under load and the flood soak    *)
@@ -895,45 +609,41 @@ let bench_soak () =
   let wheel_soak = run_soak true and heap_soak = run_soak false in
   soak_row ("wheel", wheel_soak);
   soak_row ("heap", heap_soak);
-  let oc = open_out "BENCH_pr5.json" in
   let soak_json (r, wall) =
-    Printf.sprintf
-      "{\"conns\": %d, \"completed\": %d, \"flood_segments\": %d, \
-       \"flood_extra_accepts\": %d, \"flood_refused_fraction\": %.4f, \
-       \"rsts_sent\": %d, \"backlog_refused\": %d, \"syn_dropped\": %d, \
-       \"time_wait_recycled\": %d, \"wire_queue_drops\": %d, \
-       \"leaked_packets\": %d, \"virtual_s\": %.3f, \"cpu_s\": %.3f}"
-      r.Soak.conns r.Soak.completed r.Soak.flood_sent
-      (max 0 (r.Soak.server_accepts - r.Soak.conns))
-      (if r.Soak.flood_sent = 0 then 1.0
-       else
-         1.0
-         -. float_of_int (max 0 (r.Soak.server_accepts - r.Soak.conns))
-            /. float_of_int r.Soak.flood_sent)
-      r.Soak.rsts_sent r.Soak.backlog_refused r.Soak.syn_dropped
-      r.Soak.time_wait_recycled r.Soak.wire_queue_drops r.Soak.leaked_packets
-      (float_of_int r.Soak.end_time /. 1e6)
-      wall
+    let extra = max 0 (r.Soak.server_accepts - r.Soak.conns) in
+    let refused =
+      if r.Soak.flood_sent = 0 then 1.0
+      else 1.0 -. (float_of_int extra /. float_of_int r.Soak.flood_sent)
+    in
+    Json.(
+      Obj
+        [ ("conns", Int r.Soak.conns); ("completed", Int r.Soak.completed);
+          ("flood_segments", Int r.Soak.flood_sent);
+          ("flood_extra_accepts", Int extra);
+          ("flood_refused_fraction", Float (4, refused));
+          ("rsts_sent", Int r.Soak.rsts_sent);
+          ("backlog_refused", Int r.Soak.backlog_refused);
+          ("syn_dropped", Int r.Soak.syn_dropped);
+          ("time_wait_recycled", Int r.Soak.time_wait_recycled);
+          ("wire_queue_drops", Int r.Soak.wire_queue_drops);
+          ("leaked_packets", Int r.Soak.leaked_packets);
+          ("virtual_s", Float (3, float_of_int r.Soak.end_time /. 1e6));
+          ("cpu_s", Float (3, wall)) ])
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"pr5_overload_survival\",\n\
-    \  \"timers\": {\n\
-    \    \"standing\": %d,\n\
-    \    \"churn_ops\": %d,\n\
-    \    \"heap_churn_ns_per_op\": %.0f,\n\
-    \    \"wheel_churn_ns_per_op\": %.0f,\n\
-    \    \"heap_fire_ns_per_timer\": %.0f,\n\
-    \    \"wheel_fire_ns_per_timer\": %.0f\n\
-    \  },\n\
-    \  \"soak_wheel\": %s,\n\
-    \  \"soak_heap\": %s\n\
-     }\n"
-    live churn (per_op heap_churn churn) (per_op wheel_churn churn)
-    (per_op heap_fire live) (per_op wheel_fire live)
-    (soak_json wheel_soak) (soak_json heap_soak);
-  close_out oc;
-  print_endline "\nwrote BENCH_pr5.json"
+  let ns s n = Json.Float (0, per_op s n) in
+  Json.write "BENCH_pr5.json"
+    Json.(
+      Obj
+        [ ("bench", String "pr5_overload_survival");
+          ( "timers",
+            Obj
+              [ ("standing", Int live); ("churn_ops", Int churn);
+                ("heap_churn_ns_per_op", ns heap_churn churn);
+                ("wheel_churn_ns_per_op", ns wheel_churn churn);
+                ("heap_fire_ns_per_timer", ns heap_fire live);
+                ("wheel_fire_ns_per_timer", ns wheel_fire live) ] );
+          ("soak_wheel", soak_json wheel_soak);
+          ("soak_heap", soak_json heap_soak) ])
 
 (* ------------------------------------------------------------------ *)
 (* Application serving: HTTP/1.1 and echo under 1k concurrent conns    *)
@@ -980,37 +690,32 @@ let bench_serve () =
         (float_of_int r.Load.p95_us /. 1000.)
         (float_of_int r.Load.p99_us /. 1000.))
     rows;
-  let oc = open_out "BENCH_pr8.json" in
   let row_json ((r : Load.result), wall) =
-    Printf.sprintf
-      "{\"app\": \"%s\", \"conns\": %d, \"requests_ok\": %d, \
-       \"requests_attempted\": %d, \"conn_errors\": %d, \
-       \"bytes_received\": %d, \"max_concurrent\": %d, \"accepts\": %d, \
-       \"reqs_per_sec\": %.1f, \"p50_us\": %d, \"p95_us\": %d, \
-       \"p99_us\": %d, \"max_us\": %d, \"virtual_s\": %.3f, \"cpu_s\": %.3f}"
-      r.Load.app r.Load.conns r.Load.requests_ok r.Load.requests_attempted
-      r.Load.conn_errors r.Load.bytes_received r.Load.max_concurrent
-      r.Load.accepts r.Load.reqs_per_sec r.Load.p50_us r.Load.p95_us
-      r.Load.p99_us r.Load.max_us
-      (float_of_int r.Load.elapsed_us /. 1e6)
-      wall
+    Json.(
+      Obj
+        [ ("app", String r.Load.app); ("conns", Int r.Load.conns);
+          ("requests_ok", Int r.Load.requests_ok);
+          ("requests_attempted", Int r.Load.requests_attempted);
+          ("conn_errors", Int r.Load.conn_errors);
+          ("bytes_received", Int r.Load.bytes_received);
+          ("max_concurrent", Int r.Load.max_concurrent);
+          ("accepts", Int r.Load.accepts);
+          ("reqs_per_sec", Float (1, r.Load.reqs_per_sec));
+          ("p50_us", Int r.Load.p50_us); ("p95_us", Int r.Load.p95_us);
+          ("p99_us", Int r.Load.p99_us); ("max_us", Int r.Load.max_us);
+          ("virtual_s", Float (3, float_of_int r.Load.elapsed_us /. 1e6));
+          ("cpu_s", Float (3, wall)) ])
   in
-  (match rows with
+  match rows with
   | [ http; echo ] ->
-    Printf.fprintf oc
-      "{\n\
-      \  \"bench\": \"pr8_application_serving\",\n\
-      \  \"conns\": 1000,\n\
-      \  \"requests_per_conn\": 5,\n\
-      \  \"payload_bytes\": 1024,\n\
-      \  \"wire\": \"gigabit hub, clean\",\n\
-      \  \"http\": %s,\n\
-      \  \"echo\": %s\n\
-       }\n"
-      (row_json http) (row_json echo)
-  | _ -> assert false);
-  close_out oc;
-  print_endline "\nwrote BENCH_pr8.json"
+    Json.write "BENCH_pr8.json"
+      Json.(
+        Obj
+          [ ("bench", String "pr8_application_serving"); ("conns", Int 1000);
+            ("requests_per_conn", Int 5); ("payload_bytes", Int 1024);
+            ("wire", String "gigabit hub, clean"); ("http", row_json http);
+            ("echo", row_json echo) ])
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Sharded engine scaling: serve and soak across OCaml domains         *)
@@ -1045,15 +750,15 @@ let bench_shards () =
       gigabit = true;
     }
   in
+  let virtual_s (r : Load.result) = float_of_int r.Load.elapsed_us /. 1e6 in
   let serve_row shards =
     let r = Load.run { base with Load.shards } in
     Printf.printf
       "  shards %d: %4d/%-4d requests, %8.0f req/s, %6.0f conns/s \
        (%.3fs virtual, %.2fs wall)\n%!"
       shards r.Load.requests_ok r.Load.requests_attempted r.Load.reqs_per_sec
-      (float_of_int r.Load.conns /. (float_of_int r.Load.elapsed_us /. 1e6))
-      (float_of_int r.Load.elapsed_us /. 1e6)
-      r.Load.wall_s;
+      (float_of_int r.Load.conns /. virtual_s r)
+      (virtual_s r) r.Load.wall_s;
     r
   in
   let rows = List.map serve_row [ 1; 2; 4; 8 ] in
@@ -1077,55 +782,52 @@ let bench_shards () =
     soak.Soak.completed soak.Soak.conns soak_cfg.Soak.shards
     (List.length soak.Soak.invariant_faults)
     soak.Soak.leaked_packets soak_wall;
-  let oc = open_out "BENCH_pr9.json" in
   let row_json (r : Load.result) =
-    Printf.sprintf
-      "{\"shards\": %d, \"requests_ok\": %d, \"requests_attempted\": %d, \
-       \"conn_errors\": %d, \"reqs_per_sec\": %.1f, \"conns_per_sec\": \
-       %.1f, \"p50_us\": %d, \"p99_us\": %d, \"virtual_s\": %.3f, \
-       \"wall_s\": %.3f}"
-      r.Load.shards r.Load.requests_ok r.Load.requests_attempted
-      r.Load.conn_errors r.Load.reqs_per_sec
-      (float_of_int r.Load.conns /. (float_of_int r.Load.elapsed_us /. 1e6))
-      r.Load.p50_us r.Load.p99_us
-      (float_of_int r.Load.elapsed_us /. 1e6)
-      r.Load.wall_s
+    Json.(
+      Obj
+        [ ("shards", Int r.Load.shards);
+          ("requests_ok", Int r.Load.requests_ok);
+          ("requests_attempted", Int r.Load.requests_attempted);
+          ("conn_errors", Int r.Load.conn_errors);
+          ("reqs_per_sec", Float (1, r.Load.reqs_per_sec));
+          ( "conns_per_sec",
+            Float (1, float_of_int r.Load.conns /. virtual_s r) );
+          ("p50_us", Int r.Load.p50_us); ("p99_us", Int r.Load.p99_us);
+          ("virtual_s", Float (3, virtual_s r));
+          ("wall_s", Float (3, r.Load.wall_s)) ])
   in
-  let speedup_vs_1 r =
+  let speedup r =
     match rows with
-    | r1 :: _ -> r.Load.reqs_per_sec /. r1.Load.reqs_per_sec
-    | [] -> 1.0
+    | r1 :: _ ->
+      ( Printf.sprintf "x%d" r.Load.shards,
+        Json.Float (2, r.Load.reqs_per_sec /. r1.Load.reqs_per_sec) )
+    | [] -> assert false
   in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"pr9_sharded_engine\",\n\
-    \  \"host_cores\": %d,\n\
-    \  \"serve\": {\n\
-    \    \"workload\": \"http, 1000 conns x 5 requests x 1024B, gigabit \
-     hub\",\n\
-    \    \"metric\": \"requests_ok / max per-shard virtual elapsed\",\n\
-    \    \"rows\": [\n      %s\n    ],\n\
-    \    \"speedup\": {%s}\n\
-    \  },\n\
-    \  \"soak_10k\": {\"conns\": %d, \"shards\": %d, \"completed\": %d, \
-     \"connect_failures\": %d, \"invariant_faults\": %d, \
-     \"leaked_packets\": %d, \"flood_sent\": %d, \"wall_s\": %.3f, \
-     \"fingerprint\": \"%s\"}\n\
-     }\n"
-    (Domain.recommended_domain_count ())
-    (String.concat ",\n      " (List.map row_json rows))
-    (String.concat ", "
-       (List.map
-          (fun r ->
-            Printf.sprintf "\"x%d\": %.2f" r.Load.shards (speedup_vs_1 r))
-          rows))
-    soak.Soak.conns soak_cfg.Soak.shards soak.Soak.completed
-    soak.Soak.connect_failures
-    (List.length soak.Soak.invariant_faults)
-    soak.Soak.leaked_packets soak.Soak.flood_sent soak_wall
-    soak.Soak.fingerprint;
-  close_out oc;
-  print_endline "\nwrote BENCH_pr9.json"
+  Json.write "BENCH_pr9.json"
+    Json.(
+      Obj
+        [ ("bench", String "pr9_sharded_engine");
+          ("host_cores", Int (Domain.recommended_domain_count ()));
+          ( "serve",
+            Obj
+              [ ( "workload",
+                  String "http, 1000 conns x 5 requests x 1024B, gigabit hub" );
+                ( "metric",
+                  String "requests_ok / max per-shard virtual elapsed" );
+                ("rows", List (List.map row_json rows));
+                ("speedup", Obj (List.map speedup rows)) ] );
+          ( "soak_10k",
+            Obj
+              [ ("conns", Int soak.Soak.conns);
+                ("shards", Int soak_cfg.Soak.shards);
+                ("completed", Int soak.Soak.completed);
+                ("connect_failures", Int soak.Soak.connect_failures);
+                ( "invariant_faults",
+                  Int (List.length soak.Soak.invariant_faults) );
+                ("leaked_packets", Int soak.Soak.leaked_packets);
+                ("flood_sent", Int soak.Soak.flood_sent);
+                ("wall_s", Float (3, soak_wall));
+                ("fingerprint", String soak.Soak.fingerprint) ] ) ])
 
 let bench_chaos () =
   section "Chaos survival: path-failure matrix with unguarded teeth";
@@ -1146,56 +848,54 @@ let bench_chaos () =
     (List.length problems) wall;
   List.iter (fun p -> Printf.printf "  PROBLEM: %s\n" p) problems;
   let cell_json (r : Chaos.result) =
-    Printf.sprintf
-      "{\"scenario\": \"%s\", \"cc\": \"%s\", \"guarded\": %b, \
-       \"complete\": %b, \"delivered\": %d, \"expected\": %d, \
-       \"virtual_s\": %.3f, \"retransmissions\": %d, \
-       \"blackhole_shrinks\": %d, \"blackhole_restores\": %d, \
-       \"rtx_limit_aborts\": %d, \"user_timeout_aborts\": %d, \
-       \"persist_aborts\": %d, \"responses_408\": %d, \
-       \"chaos_dropped\": %d, \"chaos_replayed\": %d, \
-       \"chaos_duplicated\": %d, \"chaos_corrupted\": %d, \
-       \"invariant_faults\": %d, \"leaked_packets\": %d, \
-       \"fingerprint\": \"%s\"}"
-      r.Chaos.scenario r.Chaos.cc r.Chaos.guarded r.Chaos.complete
-      r.Chaos.delivered r.Chaos.expected
-      (float_of_int r.Chaos.end_time /. 1e6)
-      r.Chaos.retransmissions r.Chaos.blackhole_shrinks
-      r.Chaos.blackhole_restores r.Chaos.rtx_limit_aborts
-      r.Chaos.user_timeout_aborts r.Chaos.persist_aborts
-      r.Chaos.responses_408 r.Chaos.chaos.Fox_dev.Link.chaos_dropped
-      r.Chaos.chaos.Fox_dev.Link.chaos_replayed
-      r.Chaos.chaos.Fox_dev.Link.chaos_duplicated
-      r.Chaos.chaos.Fox_dev.Link.chaos_corrupted
-      (List.length r.Chaos.invariant_faults)
-      r.Chaos.leaked_packets (Chaos.fingerprint r)
+    let c = r.Chaos.chaos in
+    Json.(
+      Obj
+        [ ("scenario", String r.Chaos.scenario); ("cc", String r.Chaos.cc);
+          ("guarded", Bool r.Chaos.guarded);
+          ("complete", Bool r.Chaos.complete);
+          ("delivered", Int r.Chaos.delivered);
+          ("expected", Int r.Chaos.expected);
+          ("virtual_s", Float (3, float_of_int r.Chaos.end_time /. 1e6));
+          ("retransmissions", Int r.Chaos.retransmissions);
+          ("blackhole_shrinks", Int r.Chaos.blackhole_shrinks);
+          ("blackhole_restores", Int r.Chaos.blackhole_restores);
+          ("rtx_limit_aborts", Int r.Chaos.rtx_limit_aborts);
+          ("user_timeout_aborts", Int r.Chaos.user_timeout_aborts);
+          ("persist_aborts", Int r.Chaos.persist_aborts);
+          ("responses_408", Int r.Chaos.responses_408);
+          ("chaos_dropped", Int c.Fox_dev.Link.chaos_dropped);
+          ("chaos_replayed", Int c.Fox_dev.Link.chaos_replayed);
+          ("chaos_duplicated", Int c.Fox_dev.Link.chaos_duplicated);
+          ("chaos_corrupted", Int c.Fox_dev.Link.chaos_corrupted);
+          ("invariant_faults", Int (List.length r.Chaos.invariant_faults));
+          ("leaked_packets", Int r.Chaos.leaked_packets);
+          ("fingerprint", String (Chaos.fingerprint r)) ])
   in
-  let oc = open_out "BENCH_pr10.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"pr10_chaos_survival\",\n\
-    \  \"matrix\": {\n\
-    \    \"workload\": \"link_flap|mtu_blackhole|dup_storm 256KB \
-     transfers, slowloris siege vs 16 legit clients; x \
-     reno/newreno/cubic/bbr\",\n\
-    \    \"contract\": \"complete, deterministic across two runs, 0 \
-     invariant faults, 0 leaked buffers; blackhole cells shrink MSS; \
-     slowloris cells count 408s\",\n\
-    \    \"rows\": [\n      %s\n    ]\n\
-    \  },\n\
-    \  \"teeth\": {\n\
-    \    \"contract\": \"same cells with the defenses off must NOT \
-     complete\",\n\
-    \    \"rows\": [\n      %s\n    ]\n\
-    \  },\n\
-    \  \"problems\": %d,\n\
-    \  \"wall_s\": %.3f\n\
-     }\n"
-    (String.concat ",\n      " (List.map cell_json cells))
-    (String.concat ",\n      " (List.map cell_json teeth))
-    (List.length problems) wall;
-  close_out oc;
-  print_endline "\nwrote BENCH_pr10.json";
+  Json.write "BENCH_pr10.json"
+    Json.(
+      Obj
+        [ ("bench", String "pr10_chaos_survival");
+          ( "matrix",
+            Obj
+              [ ( "workload",
+                  String
+                    "link_flap|mtu_blackhole|dup_storm 256KB transfers, \
+                     slowloris siege vs 16 legit clients; x \
+                     reno/newreno/cubic/bbr" );
+                ( "contract",
+                  String
+                    "complete, deterministic across two runs, 0 invariant \
+                     faults, 0 leaked buffers; blackhole cells shrink MSS; \
+                     slowloris cells count 408s" );
+                ("rows", List (List.map cell_json cells)) ] );
+          ( "teeth",
+            Obj
+              [ ( "contract",
+                  String "same cells with the defenses off must NOT complete" );
+                ("rows", List (List.map cell_json teeth)) ] );
+          ("problems", Int (List.length problems)); ("wall_s", Float (3, wall))
+        ]);
   if problems <> [] then exit 1
 
 (* ------------------------------------------------------------------ *)

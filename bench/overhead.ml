@@ -18,7 +18,6 @@
    figures to BENCH_pr3.json.  Results go into EXPERIMENTS.md. *)
 
 module Experiments = Fox_stack.Experiments
-module Network = Fox_stack.Network
 module Tcb_invariants = Fox_check.Tcb_invariants
 module Bus = Fox_obs.Bus
 
@@ -27,8 +26,7 @@ let bytes = 1_000_000
 let reps = 20
 
 let run_once () =
-  let _, sender, receiver = Network.pair ~engine:Network.Fox () in
-  ignore (Experiments.Fox_run.transfer ~sender ~receiver ~bytes ())
+  ignore (Experiments.variant_transfer (module Fox_stack.Stack.Tcp) ~bytes ())
 
 (* CPU seconds for [reps] transfers, after one warmup *)
 let measure () =
@@ -65,39 +63,29 @@ let () =
   let inv_on = Fun.protect ~finally:Tcb_invariants.uninstall measure in
   let checks = !Tcb_invariants.checks_performed / (reps + 1) in
   let site_ns = disabled_site_ns () in
+  let overhead on = 100.0 *. ((on /. off) -. 1.0) in
   Printf.printf "1 MB transfer, %d reps (CPU time per transfer):\n" reps;
   Printf.printf "  bus off, hook empty:      %8.2f ms\n" (off *. 1e3);
   Printf.printf "  flight recorder on:       %8.2f ms   (%d events/transfer)\n"
     (bus_on *. 1e3) events_per_transfer;
   Printf.printf "  invariants installed:     %8.2f ms   (%d checks/transfer)\n"
     (inv_on *. 1e3) checks;
-  Printf.printf "  bus overhead:             %8.1f %%\n"
-    (100.0 *. ((bus_on /. off) -. 1.0));
-  Printf.printf "  invariant overhead:       %8.1f %%\n"
-    (100.0 *. ((inv_on /. off) -. 1.0));
+  Printf.printf "  bus overhead:             %8.1f %%\n" (overhead bus_on);
+  Printf.printf "  invariant overhead:       %8.1f %%\n" (overhead inv_on);
   Printf.printf "  disabled event site:      %8.2f ns (one ref read + branch)\n"
     site_ns;
-  let oc = open_out "BENCH_pr3.json" in
-  Printf.fprintf oc
-    {|{
-  "bench": "pr3_observability_overhead",
-  "bytes": %d,
-  "reps": %d,
-  "transfer_ms": {
-    "bus_off": %.3f,
-    "bus_on": %.3f,
-    "invariants_on": %.3f
-  },
-  "bus_overhead_percent": %.2f,
-  "invariant_overhead_percent": %.2f,
-  "events_per_transfer": %d,
-  "invariant_checks_per_transfer": %d,
-  "disabled_site_ns": %.3f
-}
-|}
-    bytes reps (off *. 1e3) (bus_on *. 1e3) (inv_on *. 1e3)
-    (100.0 *. ((bus_on /. off) -. 1.0))
-    (100.0 *. ((inv_on /. off) -. 1.0))
-    events_per_transfer checks site_ns;
-  close_out oc;
-  print_endline "wrote BENCH_pr3.json"
+  Json.write "BENCH_pr3.json"
+    Json.(
+      Obj
+        [ ("bench", String "pr3_observability_overhead"); ("bytes", Int bytes);
+          ("reps", Int reps);
+          ( "transfer_ms",
+            Obj
+              [ ("bus_off", Float (3, off *. 1e3));
+                ("bus_on", Float (3, bus_on *. 1e3));
+                ("invariants_on", Float (3, inv_on *. 1e3)) ] );
+          ("bus_overhead_percent", Float (2, overhead bus_on));
+          ("invariant_overhead_percent", Float (2, overhead inv_on));
+          ("events_per_transfer", Int events_per_transfer);
+          ("invariant_checks_per_transfer", Int checks);
+          ("disabled_site_ns", Float (3, site_ns)) ])

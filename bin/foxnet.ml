@@ -94,7 +94,10 @@ let transfer_sharded bytes loss seed decstation offload pool shards =
                 ~netem:(netem_of loss (seed + (k * 9176)))
                 ()
             in
-            Experiments.Fox_run.transfer ~sender ~receiver ~bytes ()))
+            Experiments.Fox_run.transfer
+              ~sender:(sender, Network.fox_tcp sender)
+              ~receiver:(receiver, Network.fox_tcp receiver)
+              ~bytes ()))
   in
   let open Experiments in
   Array.iteri
@@ -155,8 +158,15 @@ let transfer bytes loss seed decstation baseline offload pool cc shards =
         Packet.pool_enabled := false)
       (fun () ->
         if baseline then
-          Experiments.Baseline_run.transfer ~sender ~receiver ~bytes ()
-        else Experiments.Fox_run.transfer ~sender ~receiver ~bytes ())
+          Experiments.Baseline_run.transfer
+            ~sender:(sender, Network.baseline_tcp sender)
+            ~receiver:(receiver, Network.baseline_tcp receiver)
+            ~bytes ()
+        else
+          Experiments.Fox_run.transfer
+            ~sender:(sender, Network.fox_tcp sender)
+            ~receiver:(receiver, Network.fox_tcp receiver)
+            ~bytes ())
   in
   if pool then begin
     print_endline (Packet.pool_stats ());
@@ -205,8 +215,16 @@ let rtt decstation baseline =
   in
   let _, client, server = Network.pair ~engine ?cost () in
   let result =
-    if baseline then Experiments.Baseline_run.round_trip ~client ~server ()
-    else Experiments.Fox_run.round_trip ~client ~server ()
+    if baseline then
+      Experiments.Baseline_run.round_trip
+        ~client:(client, Network.baseline_tcp client)
+        ~server:(server, Network.baseline_tcp server)
+        ()
+    else
+      Experiments.Fox_run.round_trip
+        ~client:(client, Network.fox_tcp client)
+        ~server:(server, Network.fox_tcp server)
+        ()
   in
   let open Experiments in
   Printf.printf "TCP round-trip over %d samples: mean %.2f ms (min %.2f, max %.2f)\n"
@@ -214,33 +232,6 @@ let rtt decstation baseline =
     (float_of_int result.mean_rtt_us /. 1000.)
     (float_of_int result.min_rtt_us /. 1000.)
     (float_of_int result.max_rtt_us /. 1000.)
-
-(* ---------------- tables ---------------- *)
-
-let table1 () =
-  let fox_tp, fox_rtt, base_tp, base_rtt = Experiments.table1 () in
-  let open Experiments in
-  Printf.printf "%-22s %10s %10s %8s\n" "" "Fox Net" "x-kernel" "ratio";
-  Printf.printf "%-22s %10.2f %10.2f %8.2f\n" "Throughput (Mb/s)"
-    fox_tp.throughput_mbps base_tp.throughput_mbps
-    (fox_tp.throughput_mbps /. base_tp.throughput_mbps);
-  Printf.printf "%-22s %10.1f %10.1f %8.1f\n" "Round-Trip (ms)"
-    (float_of_int fox_rtt.mean_rtt_us /. 1000.)
-    (float_of_int base_rtt.mean_rtt_us /. 1000.)
-    (float_of_int fox_rtt.mean_rtt_us /. float_of_int base_rtt.mean_rtt_us)
-
-let table2 () =
-  let _, sender, receiver = Experiments.table2 () in
-  Printf.printf "%-22s %8s %9s\n" "component" "Sender" "Receiver";
-  List.iter
-    (fun (name, pct, _) ->
-      let rpct =
-        match List.find_opt (fun (n, _, _) -> n = name) receiver with
-        | Some (_, p, _) -> p
-        | None -> 0.0
-      in
-      Printf.printf "%-22s %8.1f %9.1f\n" name pct rpct)
-    sender
 
 (* ---------------- fuzz (differential, deterministic) ---------------- *)
 
@@ -447,7 +438,12 @@ let stat bytes loss seed interval_ms =
         [ sender; receiver ]
     done
   in
-  let result = Experiments.Fox_run.transfer ~during ~sender ~receiver ~bytes () in
+  let result =
+    Experiments.Fox_run.transfer ~during
+      ~sender:(sender, Network.fox_tcp sender)
+      ~receiver:(receiver, Network.fox_tcp receiver)
+      ~bytes ()
+  in
   print_endline "-- final (from the bus stats-provider registry):";
   List.iter (fun (_id, line) -> print_endline line) (Bus.stats_snapshots ());
   Printf.printf "%d bytes in %.3f s (virtual) = %.3f Mb/s; %d segments, %d rtx\n"
@@ -464,7 +460,12 @@ let trace bytes loss seed last pcap =
     Network.pair ~engine:Network.Fox ~netem:(netem_of loss seed) ?pcap_prefix ()
   in
   Bus.enable ();
-  let result = Experiments.Fox_run.transfer ~sender ~receiver ~bytes () in
+  let result =
+    Experiments.Fox_run.transfer
+      ~sender:(sender, Network.fox_tcp sender)
+      ~receiver:(receiver, Network.fox_tcp receiver)
+      ~bytes ()
+  in
   Bus.disable ();
   let tail label lines =
     let n = List.length lines in
@@ -526,29 +527,7 @@ let chaos cc family quick markdown verbose =
             List.map (fun cc -> Chaos.run_cell ~quick ~log ~cc family) ccs)
           families
       in
-      let problems =
-        List.concat_map
-          (fun (r : Chaos.result) ->
-            (if r.Chaos.complete then []
-             else
-               [
-                 Printf.sprintf "%s/%s incomplete (%d of %d)" r.Chaos.scenario
-                   r.Chaos.cc r.Chaos.delivered r.Chaos.expected;
-               ])
-            @ List.map
-                (Printf.sprintf "%s/%s invariant: %s" r.Chaos.scenario
-                   r.Chaos.cc)
-                r.Chaos.invariant_faults
-            @
-            if r.Chaos.leaked_packets = 0 then []
-            else
-              [
-                Printf.sprintf "%s/%s leaked %d buffers" r.Chaos.scenario
-                  r.Chaos.cc r.Chaos.leaked_packets;
-              ])
-          rs
-      in
-      (rs, [], problems)
+      (rs, [], List.concat_map Chaos.cell_problems rs)
   in
   if markdown then print_string (Chaos.to_markdown (results @ teeth))
   else begin
@@ -1022,11 +1001,11 @@ let rtt_cmd =
 
 let table1_cmd =
   Cmd.v (Cmd.info "table1" ~doc:"Reproduce the paper's Table 1")
-    Term.(const table1 $ const ())
+    Term.(const Experiments.print_table1 $ const ())
 
 let table2_cmd =
   Cmd.v (Cmd.info "table2" ~doc:"Reproduce the paper's Table 2")
-    Term.(const table2 $ const ())
+    Term.(const Experiments.print_table2 $ const ())
 
 let iters =
   Arg.(value & opt int 200 & info [ "iters"; "k" ] ~doc:"Schedules to run.")

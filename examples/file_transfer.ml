@@ -32,8 +32,15 @@ let run bytes loss seed decstation baseline =
     (if decstation then "   (DECstation cost model)" else "");
   let result =
     if baseline then
-      Experiments.Baseline_run.transfer ~sender ~receiver ~bytes ()
-    else Experiments.Fox_run.transfer ~sender ~receiver ~bytes ()
+      Experiments.Baseline_run.transfer
+        ~sender:(sender, Network.baseline_tcp sender)
+        ~receiver:(receiver, Network.baseline_tcp receiver)
+        ~bytes ()
+    else
+      Experiments.Fox_run.transfer
+        ~sender:(sender, Network.fox_tcp sender)
+        ~receiver:(receiver, Network.fox_tcp receiver)
+        ~bytes ()
   in
   let open Experiments in
   Printf.printf "transferred %d bytes in %.3f s (virtual): %.3f Mb/s\n"

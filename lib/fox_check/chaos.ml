@@ -515,10 +515,29 @@ let run_teeth_slowloris ?quick ?log () =
 (* The verdict                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** [check ()] runs the guarded matrix twice (determinism), asserts the
-    graceful-degradation contract on every cell (completion, silent
-    invariants, no leaked buffers, the blackhole cells actually shrank
-    their MSS), runs both teeth cells and asserts they fail.  Returns
+(** [cell_problems r] is the graceful-degradation contract of one
+    guarded cell: it completed, its invariants stayed silent, it leaked
+    no buffer, a blackhole cell's detector shrank the MSS at least once
+    and a slow-loris cell answered with 408s.  Empty = the cell holds. *)
+let cell_problems r =
+  let problems = ref [] in
+  let problem fmt = Harness.problem problems fmt in
+  if not r.complete then
+    problem "%s/%s: incomplete (%d of %d)" r.scenario r.cc r.delivered
+      r.expected;
+  List.iter (fun f -> problem "%s/%s: invariant: %s" r.scenario r.cc f)
+    r.invariant_faults;
+  if r.leaked_packets <> 0 then
+    problem "%s/%s: %d packet buffers leaked" r.scenario r.cc r.leaked_packets;
+  if r.scenario = "mtu_blackhole" && r.blackhole_shrinks = 0 then
+    problem "%s/%s: blackhole detection never fired" r.scenario r.cc;
+  if r.scenario = "slowloris" && r.responses_408 = 0 then
+    problem "%s/%s: no 408s — the deadline defense was inert" r.scenario r.cc;
+  List.rev !problems
+
+(** [check ()] runs the guarded matrix twice (determinism), asserts
+    {!cell_problems} on every cell, runs both teeth cells and asserts
+    they fail.  Returns
     the first run's cells plus the teeth results and the problems found
     (empty = pass). *)
 let check ?quick ?log () =
@@ -533,22 +552,7 @@ let check ?quick ?log () =
           a.scenario a.cc)
     r1 r2;
   List.iter
-    (fun r ->
-      if not r.complete then
-        problem "%s/%s: incomplete (%d of %d)" r.scenario r.cc r.delivered
-          r.expected;
-      List.iter (fun f -> problem "%s/%s: invariant: %s" r.scenario r.cc f)
-        r.invariant_faults;
-      if r.leaked_packets <> 0 then
-        problem "%s/%s: %d packet buffers leaked" r.scenario r.cc
-          r.leaked_packets;
-      if
-        r.scenario = "mtu_blackhole" && r.blackhole_shrinks = 0
-      then
-        problem "%s/%s: blackhole detection never fired" r.scenario r.cc;
-      if r.scenario = "slowloris" && r.responses_408 = 0 then
-        problem "%s/%s: no 408s — the deadline defense was inert" r.scenario
-          r.cc)
+    (fun r -> List.iter (fun p -> problem "%s" p) (cell_problems r))
     r1;
   let tb = run_teeth_blackhole ?quick ?log () in
   if tb.complete then

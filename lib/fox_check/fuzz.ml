@@ -212,8 +212,7 @@ let hosts_for s ~engine_salt =
 (* Engines                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The two TCPs behind one face, like [Experiments.ENGINE] but over the
-   faulty stack. *)
+(* The two TCPs behind one face, over the faulty stack. *)
 module type ENGINE = Harness.ENGINE with type lower = Fip.t
 
 (* The structured engine is built per congestion-control algorithm: the

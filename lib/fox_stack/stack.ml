@@ -51,24 +51,8 @@ module Udp =
     [Standard_Tcp], with the benchmark's 4096-byte window (the library
     default) and the paper-era Reno congestion control.  The congestion
     algorithm is a functor argument (DESIGN §12): swapping it is one more
-    application below. *)
+    application, as the [Fox_check] harnesses do for every algorithm. *)
 module Tcp = Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Reno) (Fox_tcp.Tcp.Default_params)
-
-(** The same stack under the other congestion algorithms — the CONGESTION
-    argument is the only difference, so runs are directly comparable. *)
-
-module Tcp_newreno =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Newreno)
-    (Fox_tcp.Tcp.Default_params)
-
-module Tcp_cubic =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Cubic)
-    (Fox_tcp.Tcp.Default_params)
-
-module Tcp_bbr =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux)
-    (Fox_tcp.Congestion.Bbr_lite)
-    (Fox_tcp.Tcp.Default_params)
 
 (** The monolithic baseline over the very same lower layers. *)
 module Baseline_tcp =
@@ -96,14 +80,6 @@ module Tcp_no_delayed_ack =
       include Fox_tcp.Tcp.Default_params
 
       let delayed_ack_us = 0
-    end)
-
-module Tcp_no_nagle =
-  Fox_tcp.Tcp.Make (Metered_ip) (Metered_ip_aux) (Fox_tcp.Congestion.Reno)
-    (struct
-      include Fox_tcp.Tcp.Default_params
-
-      let nagle = false
     end)
 
 module Tcp_no_checksums =

@@ -136,6 +136,17 @@ let test_blackhole_guarded_completes () =
     r.Chaos.invariant_faults;
   Alcotest.(check int) "no leaked buffers" 0 r.Chaos.leaked_packets
 
+(* A sliced [foxnet chaos] run judges its cells with the same contract as
+   the full matrix: a blackhole cell whose detector never fired fails
+   even though it completed. *)
+let test_cell_problems_blackhole () =
+  let r = Chaos.run_cell ~quick:true ~cc:"reno" "mtu_blackhole" in
+  Alcotest.(check (list string)) "the real cell holds" []
+    (Chaos.cell_problems r);
+  Alcotest.(check (list string)) "an inert detector is flagged"
+    [ "mtu_blackhole/reno: blackhole detection never fired" ]
+    (Chaos.cell_problems { r with Chaos.blackhole_shrinks = 0 })
+
 let test_blackhole_teeth_stall () =
   let r = Chaos.run_teeth_blackhole ~quick:true () in
   Alcotest.(check bool) "without detection the transfer must NOT complete"
@@ -432,6 +443,8 @@ let () =
         [
           Alcotest.test_case "blackhole guarded completes" `Quick
             test_blackhole_guarded_completes;
+          Alcotest.test_case "cell contract flags inert detector" `Quick
+            test_cell_problems_blackhole;
           Alcotest.test_case "blackhole teeth stall" `Quick
             test_blackhole_teeth_stall;
           Alcotest.test_case "slowloris guarded serves" `Quick

@@ -166,7 +166,11 @@ let test_probe_event_order_matches_executor () =
           Bus.unsubscribe sub)
         (fun () ->
           let _, sender, receiver = Network.pair ~engine:Network.Fox () in
-          ignore (Experiments.Fox_run.transfer ~sender ~receiver ~bytes:20_000 ())));
+          ignore
+            (Experiments.Fox_run.transfer
+               ~sender:(sender, Network.fox_tcp sender)
+               ~receiver:(receiver, Network.fox_tcp receiver)
+               ~bytes:20_000 ())));
   let per_conn seq =
     List.fold_left
       (fun acc (conn, c) ->
@@ -207,7 +211,10 @@ let test_observability_smoke () =
           let _, sender, receiver = Network.pair ~engine:Network.Fox () in
           result :=
             Some
-              (Experiments.Fox_run.transfer ~sender ~receiver ~bytes:1_000_000 ());
+              (Experiments.Fox_run.transfer
+                 ~sender:(sender, Network.fox_tcp sender)
+                 ~receiver:(receiver, Network.fox_tcp receiver)
+                 ~bytes:1_000_000 ());
           Alcotest.(check bool) "bus recorded the run" true (Bus.emitted () > 0);
           Alcotest.(check bool) "probe histograms fed" true
             (match List.assoc_opt "ip0.send_bytes" (Bus.histograms ()) with
