@@ -4,10 +4,13 @@
 
     - [`Basic] — the straightforward algorithm the paper attributes to the
       x-kernel: load 16 bits at a time and fold the carry on every step.
-    - [`Optimized] — the paper's Figure 10: load 32 bits at a time and
-      accumulate up to 16 bits of carries in the top half of the
-      accumulator, renormalising only every 2{^16} 16-bit quantities, in a
-      tail-recursive loop ("using the techniques described by Braden,
+    - [`Optimized] — the paper's Figure 10 at the host's word width: where
+      the DECstation loaded 32 bits at a time, this loads 64 (two loads a
+      step) and adds each load's two 32-bit halves, which is congruent to
+      adding its four 16-bit words because 2{^32} = 1 (mod 0xFFFF).  The
+      carries accumulate above bit 15 and the sum is renormalised once
+      every 2{^17} bytes, by which point it is still below 2{^48}.  The
+      loop is tail-recursive ("using the techniques described by Braden,
       Borman, and Partridge", RFC 1071).
 
     A checksum over scattered ranges (pseudo-header, header, payload) is

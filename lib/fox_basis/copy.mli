@@ -30,10 +30,11 @@ val blit : Bytes.t -> int -> Bytes.t -> int -> int -> unit
     the same pass, accumulates their one's-complement sum (big-endian
     16-bit words at even parity, an odd final byte padded with a zero low
     half) continuing the folded partial sum [init].  Returns the folded
-    16-bit result.  This is the paper's "touch the data once" fusion: a
-    segment that must be both copied across a buffer boundary and
-    checksummed pays one traversal instead of two.  Ranges must not
-    overlap. *)
+    16-bit result.  The sum is accumulated as in [Checksum]'s Figure 10
+    kernel, eight bytes per step.  This is the paper's "touch the data
+    once" fusion: a segment that must be both copied across a buffer
+    boundary and checksummed pays one traversal instead of two.  Ranges
+    must not overlap. *)
 val blit_checksum :
   Bytes.t -> int -> Bytes.t -> int -> int -> init:int -> int
 

@@ -11,6 +11,9 @@ let severity = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 type t = {
   capacity : int;
   mutable items : (int * string) array;
+      (* empty until the first kept [add]: most traces (every TCP engine's,
+         for one) are created and never written, and a ring of [capacity]
+         is a major-heap allocation *)
   mutable head : int; (* index of oldest *)
   mutable len : int;
   mutable dropped : int;
@@ -20,7 +23,7 @@ type t = {
 
 let create ?(enabled = true) ?(min_level = Debug) capacity =
   if capacity <= 0 then invalid_arg "Trace.create";
-  { capacity; items = Array.make capacity (0, ""); head = 0; len = 0;
+  { capacity; items = [||]; head = 0; len = 0;
     dropped = 0; enabled; min_level }
 
 let set_enabled t on = t.enabled <- on
@@ -37,6 +40,7 @@ let keeps t lvl = t.enabled && severity lvl >= severity t.min_level
 
 let add ?(level = Info) t ~time msg =
   if keeps t level then begin
+    if Array.length t.items = 0 then t.items <- Array.make t.capacity (0, "");
     let slot = (t.head + t.len) mod t.capacity in
     t.items.(slot) <- (time, msg);
     if t.len < t.capacity then t.len <- t.len + 1

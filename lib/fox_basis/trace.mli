@@ -17,7 +17,8 @@ val level_name : level -> string
 
 (** [create ?enabled ?min_level capacity] is an empty trace holding at most
     [capacity] events (enabled at [Debug] by default, preserving the
-    record-everything behaviour). *)
+    record-everything behaviour).  Its ring is allocated by the first kept
+    {!add}, so a trace that is never written costs one small record. *)
 val create : ?enabled:bool -> ?min_level:level -> int -> t
 
 val set_enabled : t -> bool -> unit

@@ -428,6 +428,53 @@ let test_checksum_pseudo () =
   let acc' = Checksum.(add_bytes zero b 0 12) in
   Alcotest.(check int) "pseudo" (Checksum.finish acc') (Checksum.finish acc)
 
+(* The word-width kernel against the per-byte oracle, exhaustively over
+   every head alignment (offsets 0-7) and every tail (lengths 0-600), at
+   both stream parities and with a nonzero running sum: the prefix is
+   accumulated first, and the oracle sums prefix and range as one
+   stream. *)
+let test_checksum_kernel_grid () =
+  let b = Bytes.init 700 (fun i -> Char.chr ((i * 89 + 17) land 0xFF)) in
+  List.iter
+    (fun prefix ->
+      let acc0 = Checksum.(add_string zero prefix) in
+      for off = 0 to 7 do
+        for len = 0 to 600 do
+          let got =
+            Checksum.(checksum_of (add_bytes ~alg:`Optimized acc0 b off len))
+          in
+          let whole = Bytes.cat (Bytes.of_string prefix) (Bytes.sub b off len) in
+          let expect = Checksum.reference whole 0 (Bytes.length whole) in
+          if got <> expect then
+            Alcotest.failf "prefix %d bytes, off %d, len %d: %04x <> %04x"
+              (String.length prefix) off len got expect
+        done
+      done)
+    [ "\xbe\xef"; "\xbe\xef\x5a" ]
+
+(* Sums whose value is pinned by the data alone, and a range longer than
+   the kernel's renormalisation chunk.  The allocation bound catches a
+   kernel whose 64-bit loads are boxed (hundreds of words per segment). *)
+let test_checksum_kernel_edges () =
+  let sum b = Checksum.(finish (add_bytes ~alg:`Optimized zero b 0 (Bytes.length b))) in
+  List.iter
+    (fun n ->
+      Alcotest.(check int) "all zero" 0x0000 (sum (Bytes.make n '\000'));
+      Alcotest.(check int) "all ones" 0xFFFF (sum (Bytes.make n '\xff')))
+    [ 2; 8; 1464; 300_000 ];
+  let big = Bytes.init 300_000 (fun i -> Char.chr ((i * 131 + i / 977) land 0xFF)) in
+  List.iter
+    (fun off ->
+      let len = Bytes.length big - off in
+      Alcotest.(check int) "300 KB" (Checksum.reference big off len)
+        (Checksum.checksum ~alg:`Optimized big off len))
+    [ 0; 1; 2; 6 ];
+  let seg = Bytes.sub big 0 1464 in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Checksum.checksum ~alg:`Optimized seg 0 1464));
+  let words = Gc.minor_words () -. w0 in
+  if words > 32. then Alcotest.failf "1464-byte checksum allocated %.0f words" words
+
 (* ------------------------------------------------------------------ *)
 (* Copy                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -617,6 +664,25 @@ let test_trace_clear_dropped () =
   Alcotest.(check int) "reset zeroes dropped" 0 (Trace.dropped t);
   Alcotest.(check int) "reset empties" 0 (Trace.size t)
 
+(* The ring is allocated by the first kept [add]: an unwritten trace
+   reads as empty and costs a record, not [capacity] slots. *)
+let test_trace_lazy_ring () =
+  let t = Trace.create ~min_level:Trace.Warn 4 in
+  Alcotest.(check int) "size before add" 0 (Trace.size t);
+  Alcotest.(check (list string)) "events before add" [] (List.map snd (Trace.events t));
+  Alcotest.(check int) "dropped before add" 0 (Trace.dropped t);
+  Trace.add ~level:Trace.Debug t ~time:1 "filtered";
+  Alcotest.(check int) "filtered add keeps nothing" 0 (Trace.size t);
+  List.iteri (fun i m -> Trace.add ~level:Trace.Warn t ~time:i m) [ "a"; "b"; "c"; "d"; "e" ];
+  Alcotest.(check (list string)) "ring after first add" [ "b"; "c"; "d"; "e" ]
+    (List.map snd (Trace.events t));
+  Alcotest.(check int) "dropped after first add" 1 (Trace.dropped t);
+  let b0 = Gc.allocated_bytes () in
+  let t = Sys.opaque_identity (Trace.create 4096) in
+  let words = (Gc.allocated_bytes () -. b0) /. float (Sys.word_size / 8) in
+  ignore t;
+  if words >= 100. then Alcotest.failf "Trace.create 4096 allocated %.0f words" words
+
 (* Level gating: recording below the bar is dropped, and [addf] decides
    before formatting — the %a printer must never run for a filtered
    call (argument evaluation is strict, formatting is not). *)
@@ -696,6 +762,42 @@ let blit_checksum_agree =
           (init + Checksum.finish (Checksum.add_bytes Checksum.zero src soff len))
       in
       Bytes.equal d1 d2 && same_sum_class sum expect)
+
+(* The fused kernel against the oracle over the same grid, with the
+   destination at a different alignment from the source: the sum must be
+   exact and the copy byte-exact, with the bytes around it untouched. *)
+let test_blit_checksum_grid () =
+  let src = Bytes.init 700 (fun i -> Char.chr ((i * 89 + 17) land 0xFF)) in
+  let dst = Bytes.create 720 in
+  for soff = 0 to 7 do
+    for len = 0 to 600 do
+      let doff = (soff * 3 + 1) land 7 in
+      Bytes.fill dst 0 (Bytes.length dst) '\x5c';
+      let got = Copy.blit_checksum src soff dst doff len ~init:0xBEEF in
+      let whole = Bytes.cat (Bytes.of_string "\xbe\xef") (Bytes.sub src soff len) in
+      let expect = lnot (Checksum.reference whole 0 (Bytes.length whole)) land 0xFFFF in
+      if got <> expect then
+        Alcotest.failf "soff %d, len %d: %04x <> %04x" soff len got expect;
+      let copied = Bytes.sub_string dst doff len in
+      if copied <> Bytes.sub_string src soff len
+         || Bytes.exists (( <> ) '\x5c') (Bytes.sub dst 0 doff)
+         || Bytes.exists (( <> ) '\x5c')
+              (Bytes.sub dst (doff + len) (Bytes.length dst - doff - len))
+      then Alcotest.failf "soff %d, len %d: copy not byte-exact" soff len
+    done
+  done;
+  List.iter
+    (fun (fill, expect) ->
+      let n = 300_000 in
+      let src = Bytes.make n fill and dst = Bytes.create n in
+      Alcotest.(check int) "pinned sum" expect (Copy.blit_checksum src 0 dst 0 n ~init:0);
+      Alcotest.(check bool) "300 KB copy" true (Bytes.equal src dst))
+    [ ('\000', 0x0000); ('\xff', 0xFFFF) ];
+  let big = Bytes.init 300_000 (fun i -> Char.chr ((i * 131 + i / 977) land 0xFF)) in
+  let dst = Bytes.create 300_000 in
+  Alcotest.(check int) "300 KB"
+    (lnot (Checksum.reference big 0 300_000) land 0xFFFF)
+    (Copy.blit_checksum big 0 dst 0 300_000 ~init:0)
 
 let with_pool f =
   Packet.pool_reset ();
@@ -870,11 +972,16 @@ let () =
           checksum_verify;
           checksum_adjust;
           checksum_alg_grid;
+          Alcotest.test_case "word-width kernel grid" `Quick
+            test_checksum_kernel_grid;
+          Alcotest.test_case "word-width kernel edges" `Quick
+            test_checksum_kernel_edges;
         ] );
       ( "copy",
         Alcotest.test_case "exact" `Quick test_copy_exact
         :: blit_checksum_agree
-        :: List.map (fun (name, impl) -> copy_agree name impl) Copy.all );
+        :: List.map (fun (name, impl) -> copy_agree name impl) Copy.all
+        @ [ Alcotest.test_case "blit_checksum grid" `Quick test_blit_checksum_grid ] );
       ( "fastpath",
         [
           Alcotest.test_case "pool recycle" `Quick test_pool_recycle;
@@ -906,5 +1013,6 @@ let () =
           Alcotest.test_case "ring" `Quick test_trace_ring;
           Alcotest.test_case "clear vs dropped" `Quick test_trace_clear_dropped;
           Alcotest.test_case "levels" `Quick test_trace_levels;
+          Alcotest.test_case "lazy ring" `Quick test_trace_lazy_ring;
         ] );
     ]
